@@ -24,7 +24,7 @@ from .extremal import (
     g7_stack_normalized,
 )
 from .indexsets import q_set, q_size, rho, theta
-from .majorant import MajorantParams, log2_omega_dyadic, omega_dyadic
+from .majorant import MajorantParams, omega_dyadic
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, random_in_spectrum
 
 __all__ = [
@@ -119,6 +119,8 @@ def project_q(f: TrigPolynomial, omega: MajorantParams, n: float) -> TrigPolynom
     enumeration of Q(N) takes place.  Frequencies with a zero coordinate
     belong to no octave box and are always dropped.
     """
+    if not (math.isfinite(n) and n > 0):
+        raise ParameterError(f"cross size N must be finite and positive, got {n}")
     if f.is_zero:
         return f
     if f.d != omega.d:

@@ -9,7 +9,11 @@ with the sup over s at theta = inf.  The smoothed form replaces delta_s by
 the de la Vallee Poussin band pieces, which is the standard equivalent
 expression at the integrability endpoints; the dispatcher uses blocks for
 1 < p < inf and bands for p in {1, inf}.  Values of the two forms differ
-(they are equivalent, not equal); each is deterministic.
+(they are equivalent, not equal); each is deterministic.  One engine serves
+both forms, in the norms and in the battery's equivalence check alike:
+``besov_terms`` computes the weighted terms and ``combine`` sums them.  It
+sorts the coefficients by octave once and gathers each band piece from the
+at most 2^d blocks it touches.
 
 Functions with a frequency on a coordinate hyperplane (some k_j = 0) carry
 no octave index and are rejected.
@@ -17,6 +21,7 @@ no octave index and are rejected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +35,8 @@ from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm
 __all__ = [
     "BesovParams",
     "dyadic_blocks",
+    "besov_terms",
+    "combine",
     "besov_norm_blocks",
     "besov_norm_vp",
     "besov_norm",
@@ -50,71 +57,74 @@ class BesovParams:
                 raise ParameterError(f"{name} must lie in [1, inf], got {v}")
 
 
-def _checked_octaves(f: TrigPolynomial, d_expected: int) -> np.ndarray:
-    if f.d != d_expected:
-        raise ParameterError(f"function has dimension {f.d}, majorant expects {d_expected}")
+def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
+    """Increasing row indices of f per occupied octave, keys in lex order."""
     octs = f.octaves()
     flat = np.flatnonzero(np.any(octs == 0, axis=1))
     if flat.size:
         k = tuple(int(v) for v in f.ks[flat[0]])
         raise ParameterError(
             f"frequency {k} has a zero coordinate and belongs to no dyadic octave")
-    return octs
+    order = np.lexsort(octs.T[::-1])
+    grouped = octs[order]
+    starts = np.flatnonzero(np.any(np.diff(grouped, axis=0, prepend=-1) != 0, axis=1))
+    return {tuple(int(v) for v in grouped[i]): rows
+            for i, rows in zip(starts, np.split(order, starts[1:]))}
 
 
 def dyadic_blocks(f: TrigPolynomial) -> dict[tuple[int, ...], TrigPolynomial]:
-    """Split f into octave blocks delta_s, keyed by the octave index."""
-    octs = _checked_octaves(f, f.d)
-    out: dict[tuple[int, ...], TrigPolynomial] = {}
-    if f.is_zero:
-        return out
-    uniq, inverse = np.unique(octs, axis=0, return_inverse=True)
-    for i, row in enumerate(uniq):
-        out[tuple(int(v) for v in row)] = f.restrict(inverse == i)
-    return out
+    """Split f into octave blocks delta_s, keyed by the octave index in lex order."""
+    return {s: TrigPolynomial._canonical(f.ks[rows], f.cs[rows])
+            for s, rows in _octave_rows(f).items()}
 
 
-def _accumulate(terms, theta: float) -> float:
+def _band_pieces(f: TrigPolynomial):
+    """Nonzero band pieces (s, piece) in lex order.  Band s touches only the
+    octaves sigma with sigma_j in {s_j, s_j + 1}: at most 2^d blocks."""
+    touched: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for sigma, rows in _octave_rows(f).items():
+        for s in itertools.product(*[sorted({max(1, sj - 1), sj}) for sj in sigma]):
+            touched.setdefault(s, []).append(rows)
+    for s in sorted(touched):
+        rows = np.sort(np.concatenate(touched[s]))
+        piece = band_apply(TrigPolynomial._canonical(f.ks[rows], f.cs[rows]), s)
+        if not piece.is_zero:
+            yield s, piece
+
+
+def besov_terms(f: TrigPolynomial, omega: MajorantParams, p: float, form: str,
+                quad: QuadratureSpec | None = None) -> tuple[list[tuple[int, ...]], list[float]]:
+    """The octave indices s, in lex order, and the weighted terms
+    ||piece_s||_p / omega(2^{-s}) of the block or band form."""
+    if f.d != omega.d:
+        raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
+    if form not in ("blocks", "bands"):
+        raise ParameterError(f"unknown norm form {form!r}; choose 'blocks' or 'bands'")
+    indices, terms = [], []
+    for s, piece in dyadic_blocks(f).items() if form == "blocks" else _band_pieces(f):
+        indices.append(s)
+        terms.append(lp_norm(piece, p, quad) / omega_dyadic(omega, s))
+    return indices, terms
+
+
+def combine(terms, theta: float) -> float:
+    """The l_theta sum of the norm terms (their max at theta = inf)."""
     if theta == math.inf:
         return max(terms, default=0.0)
-    total = sum(t ** theta for t in terms)
-    return total ** (1.0 / theta)
+    return sum(t ** theta for t in terms) ** (1.0 / theta)
 
 
 def besov_norm_blocks(f: TrigPolynomial, omega: MajorantParams, bp: BesovParams,
                       quad: QuadratureSpec | None = None) -> float:
     """The coefficient-block form of the norm."""
-    _checked_octaves(f, omega.d)
-    if f.is_zero:
-        return 0.0
-    terms = []
-    for s, block in sorted(dyadic_blocks(f).items()):
-        terms.append(lp_norm(block, bp.p, quad) / omega_dyadic(omega, s))
-    return _accumulate(terms, bp.theta)
+    return combine(besov_terms(f, omega, bp.p, "blocks", quad)[1], bp.theta)
 
 
 def besov_norm_vp(f: TrigPolynomial, omega: MajorantParams, bp: BesovParams,
                   quad: QuadratureSpec | None = None) -> float:
     """The band form of the norm: de la Vallee Poussin pieces in place of
-    raw blocks.  Only bands adjacent to an occupied octave can be nonzero,
-    so the candidate set is finite and cheap."""
-    octs = _checked_octaves(f, omega.d)
-    if f.is_zero:
-        return 0.0
-    candidates: set[tuple[int, ...]] = set()
-    for row in np.unique(octs, axis=0):
-        choices = [sorted({max(1, int(sj) - 1), int(sj)}) for sj in row]
-        grid = [()]
-        for opts in choices:
-            grid = [g + (o,) for g in grid for o in opts]
-        candidates.update(grid)
-    terms = []
-    for s in sorted(candidates):
-        piece = band_apply(f, s)
-        if piece.is_zero:
-            continue
-        terms.append(lp_norm(piece, bp.p, quad) / omega_dyadic(omega, s))
-    return _accumulate(terms, bp.theta)
+    raw blocks."""
+    return combine(besov_terms(f, omega, bp.p, "bands", quad)[1], bp.theta)
 
 
 def besov_norm(f: TrigPolynomial, omega: MajorantParams, bp: BesovParams,

@@ -11,8 +11,6 @@ is exact in floating point).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ParameterError
@@ -116,13 +114,9 @@ def band_kernel(s) -> TrigPolynomial:
 
 
 def band_apply(f: TrigPolynomial, s) -> TrigPolynomial:
-    """Multiply f's coefficients by the band multiplier for octave s."""
-    s = _check_octave_index(s)
-    if f.d != len(s):
-        raise ParameterError(f"octave index has {len(s)} coordinates, expected {f.d}")
-    if f.is_zero:
-        return f
-    return TrigPolynomial(f.ks, f.cs * band_multiplier(s, f.ks))
+    """Multiply f's coefficients by the band multiplier for octave s (which
+    validates s against f's dimension)."""
+    return TrigPolynomial._canonical(f.ks, f.cs * band_multiplier(s, f.ks))
 
 
 def ks_vector(s) -> np.ndarray:

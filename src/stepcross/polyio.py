@@ -50,6 +50,8 @@ def loads_polynomial(text: str) -> TrigPolynomial:
             cs.append(complex(float(parts[d]), float(parts[d + 1])))
         except ValueError as exc:
             raise ParameterError(f"bad coefficient line {ln!r}") from exc
+        if not np.isfinite(cs[-1]):
+            raise ParameterError(f"non-finite coefficient on line {ln!r}")
     if not ks:
         return TrigPolynomial.zero(d)
     return TrigPolynomial(np.asarray(ks), np.asarray(cs))

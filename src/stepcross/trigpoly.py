@@ -44,8 +44,10 @@ def pow2ceil(x: int) -> int:
 class TrigPolynomial:
     """Immutable container: lex-sorted integer frequencies + coefficients.
 
-    Duplicate frequencies are merged and exact-zero coefficients pruned at
-    construction, so the term count is canonical.
+    Canonical invariant: rows of ``ks`` strictly lex-increasing, no exact-zero
+    coefficient, read-only arrays.  The constructor sorts, merges duplicates
+    and prunes zeros; derived polynomials that keep the rows in order (sign,
+    scaling, translation, restriction, blocks, band pieces) only prune.
     """
 
     __slots__ = ("ks", "cs")
@@ -66,18 +68,25 @@ class TrigPolynomial:
         if ks.shape[0]:
             order = np.lexsort(ks.T[::-1])
             ks, cs = ks[order], cs[order]
-            fresh = np.empty(ks.shape[0], dtype=bool)
-            fresh[0] = True
-            fresh[1:] = np.any(ks[1:] != ks[:-1], axis=1)
-            starts = np.flatnonzero(fresh)
-            ks = ks[starts]
-            cs = np.add.reduceat(cs, starts)
-            keep = cs != 0
-            ks, cs = ks[keep], cs[keep]
+            starts = np.flatnonzero(np.r_[True, np.any(ks[1:] != ks[:-1], axis=1)])
+            ks, cs = ks[starts], np.add.reduceat(cs, starts)
+        self._prune_and_freeze(ks, cs)
+
+    def _prune_and_freeze(self, ks, cs):
+        keep = cs != 0
+        ks, cs = ks[keep], cs[keep]
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "cs", cs)
-        self.ks.setflags(write=False)
-        self.cs.setflags(write=False)
+        ks.setflags(write=False)
+        cs.setflags(write=False)
+
+    @classmethod
+    def _canonical(cls, ks, cs) -> "TrigPolynomial":
+        """Trusted constructor for canonical rows (int64, complex128) that may
+        hold exact zeros: prunes them, sorts and merges nothing."""
+        out = object.__new__(cls)
+        out._prune_and_freeze(ks, cs)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigPolynomial is immutable")
@@ -136,30 +145,27 @@ class TrigPolynomial:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return TrigPolynomial(self.ks, -self.cs)
+        return TrigPolynomial._canonical(self.ks, -self.cs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPolynomial):
             return NotImplemented
-        return TrigPolynomial(self.ks, self.cs * complex(scalar))
+        return TrigPolynomial._canonical(self.ks, self.cs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def scale(self, scalar) -> "TrigPolynomial":
-        return self * scalar
 
     def translate(self, x0) -> "TrigPolynomial":
         """The shifted function x -> f(x - x0)."""
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.size != self.d:
             raise ParameterError(f"shift has {x0.size} coordinates, expected {self.d}")
-        return TrigPolynomial(self.ks, self.cs * np.exp(-1j * (self.ks @ x0)))
+        return TrigPolynomial._canonical(self.ks, self.cs * np.exp(-1j * (self.ks @ x0)))
 
     def restrict(self, mask) -> "TrigPolynomial":
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.size != self.n_terms:
             raise ParameterError("mask length must equal the term count")
-        return TrigPolynomial(self.ks[mask], self.cs[mask])
+        return TrigPolynomial._canonical(self.ks[mask], self.cs[mask])
 
     # -- evaluation -------------------------------------------------------
 

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import classify_regime, fit_rate, project_q, rate_experiment, theoretical_rate
-from .besov import BesovParams, besov_norm, dyadic_blocks
+from .besov import BesovParams, besov_norm, besov_terms, combine, dyadic_blocks
 from .errors import ParameterError
 from .indexsets import q_set, q_size, rho, size_prediction, tail_sum, theta, theta_prime, theta_sum
-from .kernels import band_apply, band_multiplier, fejer, vallee_poussin
-from .majorant import MajorantParams, omega_dyadic
+from .kernels import band_multiplier, fejer, vallee_poussin
+from .majorant import MajorantParams
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, nikolskii_check, pow2ceil, random_in_spectrum
 from .extremal import WitnessConfig, g5_packet_normalized, g6_peak_value, g7_stack_normalized
 
@@ -308,12 +308,6 @@ def check_nikolskii(quick: bool = False) -> SectionResult:
 # -- equivalence of the two norm forms -------------------------------------
 
 
-def _combine(terms, theta_: float) -> float:
-    if theta_ == math.inf:
-        return max(terms)
-    return float(sum(t ** theta_ for t in terms)) ** (1.0 / theta_)
-
-
 def check_besov_equivalence(quick: bool = False) -> SectionResult:
     """Block form vs band form of the smoothness norm on random cross
     polynomials: the ratio stays within a fixed band for every (p, theta)."""
@@ -328,19 +322,11 @@ def check_besov_equivalence(quick: bool = False) -> SectionResult:
     ratios = {(p, t): [] for p in ps for t in thetas}
     for i in range(count):
         f = random_in_spectrum(spectrum, seed=3000 + i, law="gaussian")
-        blocks = sorted(dyadic_blocks(f).items())
-        candidates: set[tuple[int, ...]] = set()
-        for s, _ in blocks:
-            for s1 in {max(1, s[0] - 1), s[0]}:
-                for s2 in {max(1, s[1] - 1), s[1]}:
-                    candidates.add((s1, s2))
-        pieces = [(s, band_apply(f, s)) for s in sorted(candidates)]
-        pieces = [(s, g) for s, g in pieces if not g.is_zero]
         for p in ps:
-            block_terms = [lp_norm(g, p, quad) / omega_dyadic(om, s) for s, g in blocks]
-            piece_terms = [lp_norm(g, p, quad) / omega_dyadic(om, s) for s, g in pieces]
+            block_terms = besov_terms(f, om, p, "blocks", quad)[1]
+            band_terms = besov_terms(f, om, p, "bands", quad)[1]
             for t in thetas:
-                ratios[(p, t)].append(_combine(block_terms, t) / _combine(piece_terms, t))
+                ratios[(p, t)].append(combine(block_terms, t) / combine(band_terms, t))
 
     rows = []
     worst = 0.0

@@ -12,7 +12,11 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from stepcross.verify import run_section
+
+pytestmark = pytest.mark.slow
 
 BUDGETS = {
     "identities": 60.0,

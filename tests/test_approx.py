@@ -64,6 +64,14 @@ class TestProjection:
         assert np.array_equal(once.ks, twice.ks)
         assert np.array_equal(once.cs, twice.cs)
 
+    @pytest.mark.parametrize("n", [0, -8.0, math.nan, INF, -INF])
+    def test_invalid_size_rejected(self, n):
+        f = TrigPolynomial([[1]], [1.0])
+        with pytest.raises(ParameterError, match="finite and positive"):
+            project_q(f, P(1, 1.0, 0.0), n)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            project_q(TrigPolynomial.zero(1), P(1, 1.0, 0.0), n)
+
 
 class TestRegime:
     def test_large_p(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,16 +6,20 @@ import pytest
 
 from stepcross.besov import (
     BesovParams,
+    _band_pieces,
     besov_norm,
     besov_norm_blocks,
     besov_norm_vp,
+    besov_terms,
+    combine,
     dyadic_blocks,
     normalize_to_ball,
 )
 from stepcross.errors import ParameterError
 from stepcross.indexsets import q_set
-from stepcross.majorant import MajorantParams
-from stepcross.trigpoly import QuadratureSpec, TrigPolynomial, random_in_spectrum
+from stepcross.kernels import band_multiplier
+from stepcross.majorant import MajorantParams, omega_dyadic
+from stepcross.trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, random_in_spectrum
 
 INF = math.inf
 
@@ -126,3 +131,80 @@ class TestDispatch:
             BesovParams(0.5, 2.0)
         with pytest.raises(ParameterError):
             BesovParams(2.0, 0.0)
+
+
+# -- the engine against the full-canonicalizing constructions ---------------
+
+
+def differential_inputs():
+    """Polynomials in d = 1, 2, 3 built from raw rows with duplicates and
+    cancellations (so the constructor merges and prunes), plus the zero
+    polynomial."""
+    rng = np.random.default_rng(12)
+    out = [TrigPolynomial.zero(d) for d in (1, 2, 3)]
+    for d, hi, n in ((1, 70, 60), (2, 40, 300), (3, 12, 400)):
+        signs = rng.choice([-1, 1], size=(n, d))
+        ks = signs * rng.integers(1, hi, size=(n, d))
+        cs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        dup = rng.integers(0, n, size=n // 4)
+        ks = np.concatenate([ks, ks[dup], ks[dup[:5]]])
+        # the first five duplicated rows cancel exactly, the rest add up
+        cs = np.concatenate([cs, cs[dup], -cs[dup[:5]] - cs[dup[:5]]])
+        out.append(TrigPolynomial(ks, cs))
+    out.append(random_in_spectrum(q_set(P(2, 1.0, (0.0, 0.0)), 2 ** 7), seed=5))
+    return out
+
+
+def same_bits(got, want):
+    assert got.ks.dtype == want.ks.dtype and got.cs.dtype == want.cs.dtype
+    assert got.ks.shape == want.ks.shape
+    assert np.array_equal(got.ks, want.ks)
+    assert np.array_equal(got.cs.view(np.float64), want.cs.view(np.float64))
+
+
+class TestEngine:
+    @pytest.mark.parametrize("f", differential_inputs())
+    def test_blocks_match_masked_construction(self, f):
+        octs = f.octaves()
+        blocks = dyadic_blocks(f)
+        want_keys = sorted({tuple(int(v) for v in row) for row in octs})
+        assert list(blocks) == want_keys
+        for s, block in blocks.items():
+            mask = np.all(octs == np.array(s), axis=1)
+            same_bits(block, TrigPolynomial(f.ks[mask], f.cs[mask]))
+
+    @pytest.mark.parametrize("f", differential_inputs())
+    def test_band_pieces_match_full_multiplier(self, f):
+        octs = f.octaves()
+        candidates = set()
+        for row in {tuple(int(v) for v in r) for r in octs}:
+            candidates.update(itertools.product(*[sorted({max(1, v - 1), v}) for v in row]))
+        want = {}
+        for s in candidates:
+            piece = TrigPolynomial(f.ks, f.cs * band_multiplier(s, f.ks))
+            if not piece.is_zero:
+                want[s] = piece
+        got = dict(_band_pieces(f))
+        assert list(got) == sorted(want)
+        for s, piece in got.items():
+            same_bits(piece, want[s])
+
+    def test_terms_and_combine(self):
+        f = random_in_spectrum(q_set(P(2, 1.0, (0.5, 0.0)), 2 ** 6), seed=3)
+        omega, quad = P(2, 1.0, (0.5, 0.0)), QuadratureSpec(rel_tol=1e-4)
+        for form, pieces in (("blocks", list(dyadic_blocks(f).items())),
+                             ("bands", list(_band_pieces(f)))):
+            indices, terms = besov_terms(f, omega, 1.5, form, quad)
+            assert indices == [s for s, _ in pieces]
+            assert terms == [lp_norm(g, 1.5, quad) / omega_dyadic(omega, s) for s, g in pieces]
+        assert combine([3.0, 4.0], 2.0) == 5.0
+        assert combine([3.0, 4.0], INF) == 4.0
+        assert combine([], 2.0) == 0.0 and combine([], INF) == 0.0
+
+    def test_unknown_form(self):
+        with pytest.raises(ParameterError, match="form"):
+            besov_terms(two_mode(), P(1, 1.0, 0.0), 2.0, "rings")
+
+    def test_dimension_checked(self):
+        with pytest.raises(ParameterError, match="dimension"):
+            besov_terms(two_mode(), P(2, 1.0, (0.0, 0.0)), 2.0, "bands")

@@ -72,6 +72,15 @@ def test_norms_requires_poly(capsys):
     assert "poly" in err
 
 
+def test_norms_non_finite_poly_exit_2(tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text("d=1\n1 nan 0\n2 inf 0\n")
+    code, out, err = run_cli(capsys, "norms", "--poly", str(path), "--p", "2")
+    assert code == 2
+    assert "non-finite coefficient" in err
+    assert "lp," not in out
+
+
 def test_kernels_output_parses_back(capsys):
     code, out, _ = run_cli(capsys, "kernels", "--family", "fejer", "--n", "5")
     assert code == 0

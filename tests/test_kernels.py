@@ -109,6 +109,14 @@ class TestBandMultiplier:
         g = band_apply(f, (3,))
         assert g.coefficient((12,)) == pytest.approx(0.5)
 
+    def test_band_apply_validates_index(self):
+        f = TrigPolynomial([[3, 5]], [1.0])
+        for s in ((3,), (3, 2, 1), (0, 2)):
+            with pytest.raises(ParameterError):
+                band_apply(f, s)
+        with pytest.raises(ParameterError):
+            band_apply(TrigPolynomial.zero(2), (3,))
+
 
 class TestKsVector:
     def test_values(self):

@@ -70,3 +70,9 @@ def test_duplicate_rows_merge():
 def test_malformed_input_rejected(text):
     with pytest.raises(ParameterError):
         loads_polynomial(text)
+
+
+@pytest.mark.parametrize("line", ["1 nan 0", "2 inf 0", "3 0.5 -inf", "4 1e999 0"])
+def test_non_finite_coefficient_rejected(line):
+    with pytest.raises(ParameterError, match=f"non-finite coefficient on line '{line}'"):
+        loads_polynomial(f"d=1\n5 1.0 0.0\n{line}\n")

@@ -67,6 +67,56 @@ class TestContainer:
         assert f.d == 1 and f.n_terms == 3
 
 
+def assert_canonical(f):
+    """Rows strictly lex-increasing, no zero coefficient, read-only arrays."""
+    assert f.ks.dtype == np.int64 and f.cs.dtype == np.complex128
+    assert f.ks.ndim == 2 and f.ks.shape[0] == f.cs.shape[0]
+    for a, b in zip(f.ks[:-1].tolist(), f.ks[1:].tolist()):
+        assert a < b
+    assert np.all(f.cs != 0)
+    assert not f.ks.flags.writeable and not f.cs.flags.writeable
+
+
+class TestDerivedKeepInvariant:
+    """Derived polynomials skip re-sorting; they must still be canonical and
+    equal what the full constructor builds from the same rows."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_derived(self, d):
+        from stepcross.kernels import band_apply, band_multiplier
+
+        rng = np.random.default_rng(d)
+        n = 200
+        ks = rng.integers(-9, 10, size=(n, d))
+        cs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cs[:10] = 0.0
+        f = TrigPolynomial(np.concatenate([ks, ks[:30]]), np.concatenate([cs, -cs[:30]]))
+        mask = rng.random(f.n_terms) < 0.5
+        derived = {
+            "restrict": (f.restrict(mask), (f.ks[mask], f.cs[mask])),
+            "restrict_none": (f.restrict(np.zeros(f.n_terms, bool)), (f.ks[:0], f.cs[:0])),
+            "neg": (-f, (f.ks, -f.cs)),
+            "zero_times": (0 * f, (f.ks, f.cs * 0j)),
+            "scalar": ((2.5 - 1j) * f, (f.ks, f.cs * (2.5 - 1j))),
+            "underflow": (f * 5e-324, (f.ks, f.cs * complex(5e-324))),
+            "translate": (f.translate(np.linspace(0.3, 1.1, d)),
+                          (f.ks, f.cs * np.exp(-1j * (f.ks @ np.linspace(0.3, 1.1, d))))),
+        }
+        for s in ((1,) * d, (2,) * d, (3,) + (1,) * (d - 1), (9,) * d):
+            derived[f"band{s}"] = (band_apply(f, s), (f.ks, f.cs * band_multiplier(s, f.ks)))
+        assert derived["zero_times"][0].is_zero and derived[f"band{(9,) * d}"][0].is_zero
+        for name, (g, (want_ks, want_cs)) in derived.items():
+            assert_canonical(g)
+            want = TrigPolynomial(want_ks, want_cs)
+            assert np.array_equal(g.ks, want.ks), name
+            assert np.array_equal(g.cs, want.cs), name
+        for g in (-TrigPolynomial.zero(d), 3 * TrigPolynomial.zero(d),
+                  TrigPolynomial.zero(d).translate(np.zeros(d)),
+                  band_apply(TrigPolynomial.zero(d), (2,) * d)):
+            assert_canonical(g)
+            assert g.is_zero and g.d == d
+
+
 class TestEvaluation:
     def test_single_mode(self):
         f = TrigPolynomial([[3]], [2.0])
