@@ -11,6 +11,7 @@ from .majorant import (
     MajorantAuditReport,
     MajorantParams,
     log2_omega_dyadic,
+    log2_weight,
     omega_dyadic,
     omega_eval,
     verify_majorant_axioms,
@@ -20,6 +21,7 @@ from .indexsets import (
     SpectrumSet,
     TailSumResult,
     chi,
+    in_cross,
     q_set,
     q_size,
     rho,

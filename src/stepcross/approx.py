@@ -23,7 +23,7 @@ from .extremal import (
     g5_packet_normalized,
     g7_stack_normalized,
 )
-from .indexsets import q_set, q_size, rho, theta
+from .indexsets import in_cross, q_set, q_size, rho, theta
 from .majorant import MajorantParams, omega_dyadic
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, random_in_spectrum
 
@@ -115,9 +115,9 @@ def theoretical_rate(omega: MajorantParams, regime: RateRegime, m: float) -> flo
 def project_q(f: TrigPolynomial, omega: MajorantParams, n: float) -> TrigPolynomial:
     """Keep exactly the coefficients whose frequencies lie in the cross Q(N).
 
-    Membership is tested per coefficient through its octave vector, so no
-    enumeration of Q(N) takes place.  Frequencies with a zero coordinate
-    belong to no octave box and are always dropped.
+    Membership is decided per coefficient by ``in_cross`` on its octave
+    vector, so no enumeration of Q(N) takes place.  Frequencies with a zero
+    coordinate belong to no octave box and are always dropped.
     """
     if not (math.isfinite(n) and n > 0):
         raise ParameterError(f"cross size N must be finite and positive, got {n}")
@@ -125,18 +125,9 @@ def project_q(f: TrigPolynomial, omega: MajorantParams, n: float) -> TrigPolynom
         return f
     if f.d != omega.d:
         raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
-    target = math.log2(float(n))
     octs = f.octaves()
-    inside = np.all(octs >= 1, axis=1)
-    if np.any(inside):
-        sel = octs[inside].astype(float)
-        logw = omega.r * sel.sum(axis=1)
-        for j, bj in enumerate(omega.b):
-            logw += bj * np.log2(sel[:, j])
-        ok = np.zeros(f.n_terms, dtype=bool)
-        ok[np.flatnonzero(inside)] = logw <= target
-    else:
-        ok = np.zeros(f.n_terms, dtype=bool)
+    ok = np.all(octs >= 1, axis=1)
+    ok[ok] = in_cross(omega, octs[ok], n)
     return f.restrict(ok)
 
 

@@ -12,9 +12,8 @@ verify-all  run the full verification battery
 
 Every emitter writes deterministic text: a ``#`` header echoing the version,
 command and parameters (never a timestamp), then CSV rows.  Repeated runs
-with the same arguments produce byte-identical output.  The environment
-variable ``STEPCROSS_THREADS`` is accepted and validated for forward
-compatibility, but results never depend on it.
+with the same arguments produce byte-identical output, whatever the thread
+count of the numeric libraries.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 a verified tolerance or
 condition failed, 4 a capacity cap was hit.
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -48,7 +46,7 @@ from .kernels import band_kernel, fejer, k_packet, vallee_poussin
 from .majorant import MajorantParams, verify_majorant_axioms
 from .polyio import dumps_polynomial, read_polynomial
 from .trigpoly import QuadratureSpec, lp_norm
-from .verify import SECTION_NAMES, fmt_value, format_report, run_section, run_verification
+from .verify import SECTION_NAMES, fmt_value, format_report, run_verification
 
 WITNESS_BUILDERS = {
     "g1": g1_single_mode,
@@ -99,12 +97,6 @@ def _emit(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _selfcheck() -> int:
-    res = run_section("identities", quick=True)
-    sys.stdout.write(format_report([res], quick=True))
-    return 0 if res.passed else 3
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -148,10 +140,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    if args.selfcheck:
-        return _selfcheck()
     if not args.poly:
-        raise ParameterError("norms needs --poly FILE (or --selfcheck)")
+        raise ParameterError("norms needs --poly FILE")
     f = read_polynomial(args.poly)
     quad = QuadratureSpec(rel_tol=args.rel_tol)
     lines = _header("norms", dict(poly=args.poly, p=args.p, theta=args.theta,
@@ -176,8 +166,6 @@ def _parse_s(value) -> tuple[int, ...]:
 
 
 def _cmd_kernels(args) -> int:
-    if args.selfcheck:
-        return _selfcheck()
     if args.family in ("fejer", "vp"):
         if args.n < 1:
             raise ParameterError("kernel order --n must be >= 1")
@@ -274,7 +262,10 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with ``config`` (flat ``--config`` defaults) set
+    on every subcommand; explicit flags still override them, and a key no
+    subcommand knows is a ParameterError."""
     parser = argparse.ArgumentParser(
         prog="stepcross",
         description="Step hyperbolic cross approximation toolkit")
@@ -306,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="2", help="L_p exponents, comma separated (inf allowed)")
     p.add_argument("--theta", type=float, default=2.0)
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--selfcheck", action="store_true",
-                   help="run the exact-identity battery instead")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--r", type=float, default=None,
                    help="majorant power; enables the smoothness norm")
@@ -321,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="kernel order (fejer, vp)")
     p.add_argument("--s", default="2", help="octave indices, comma separated (band, packet)")
     p.add_argument("--u", type=int, default=None, help="packet half-width (default 2^{s-2})")
-    p.add_argument("--selfcheck", action="store_true",
-                   help="run the exact-identity battery instead")
     _add_common(p)
     p.set_defaults(func=_cmd_kernels)
 
@@ -357,6 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_verify_all)
 
+    if config:
+        known = set()  # every dest a subcommand parses into
+        for sub in subs.choices.values():
+            known.update(vars(sub.parse_args([])))
+        unknown = set(config) - (known - {"func", "config"})
+        if unknown:
+            raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        # subcommands parse into a fresh namespace, so defaults must land on
+        # each subparser, not on the root parser
+        for sub in subs.choices.values():
+            sub.set_defaults(**config)
     return parser
 
 
@@ -370,29 +368,8 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
-    return parser._subparsers._group_actions[0].choices
-
-
-def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
-    dests = set()
-    for sub in _subcommand_parsers(parser).values():
-        dests.update(a.dest for a in sub._actions)
-    return dests - {"help", "func", "config"}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-
-    threads = os.environ.get("STEPCROSS_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"warning: ignoring STEPCROSS_THREADS={threads!r} (not a positive "
-                  "integer); results never depend on it", file=sys.stderr)
-
     try:
         config = {}
         for i, token in enumerate(argv):
@@ -400,21 +377,10 @@ def main(argv=None) -> int:
                 config = _load_config(argv[i + 1])
             elif token.startswith("--config="):
                 config = _load_config(token.split("=", 1)[1])
+        parser = build_parser(config)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    parser = build_parser()
-    if config:
-        unknown = set(config) - _known_dests(parser)
-        if unknown:
-            print(f"error: unknown config keys: {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-        # subcommands parse into a fresh namespace, so defaults must land on
-        # each subparser, not on the root parser
-        for sub in _subcommand_parsers(parser).values():
-            sub.set_defaults(**config)
 
     try:
         args = parser.parse_args(argv)

@@ -2,11 +2,18 @@
 hyperbolic cross, its boundary shells, and the tail sums they control.
 
 Everything here works in log2 space.  A box index s in N^d (all s_j >= 1)
-carries the weight w(s) = prod_j 2^{r s_j} s_j^{b_j}, and membership tests
-compare log2 w(s) = sum_j (r s_j + b_j log2 s_j) against log2 N.  Weights at
-desk scale are exactly representable comparisons for the common parameter
-choices (integer and half-integer r), so boundary ties resolve
-deterministically.
+carries the weight w(s) = prod_j 2^{r s_j} s_j^{b_j}, computed as
+log2 w(s) = r |s|_1 + sum_j b_j log2 s_j by ``majorant.log2_weight``.
+``in_cross`` is the only place a box is judged inside or outside a cross,
+here and in ``approx.project_q``: s lies in chi(N) when
+
+    log2 w(s) <= log2 N + TIE_RTOL * max(1, log2 N).
+
+The slack is far above the rounding of the sum and far below any gap
+between distinct weights at these sizes, so a box whose weight equals N
+exactly, even through an irrational identity such as
+2^{16.5} 24^{-1/2} 9^{1/4} = 2^{15}, counts as inside everywhere.  Per-axis
+weight tables only bound the candidates that ``in_cross`` then filters.
 """
 
 from __future__ import annotations
@@ -18,12 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .majorant import MajorantParams
+from .majorant import MajorantParams, log2_weight
 
 __all__ = [
     "SpectrumSet",
     "IndexFamily",
     "rho",
+    "in_cross",
     "chi",
     "theta",
     "theta_prime",
@@ -37,6 +45,7 @@ __all__ = [
 
 MATERIALIZE_CAP = 1 << 22
 ENUMERATION_CAP = 5_000_000
+TIE_RTOL = 1e-12
 
 
 def _check_box_index(s, d: int) -> tuple[int, ...]:
@@ -127,10 +136,6 @@ class IndexFamily:
         return np.asarray(self.members, dtype=np.int64)
 
 
-def _log2_weight_1d(r: float, b: float, s: int) -> float:
-    return r * s + b * math.log2(s)
-
-
 def _turning_point(r: float, b: float) -> int:
     # w(s) = 2^{rs} s^b decreases until s* = -b/(r ln 2) when b < 0.
     if b >= 0:
@@ -138,9 +143,19 @@ def _turning_point(r: float, b: float) -> int:
     return max(1, math.ceil(-b / (r * math.log(2))))
 
 
-def _coordinate_min_log2w(r: float, b: float) -> float:
-    star = _turning_point(r, b)
-    return min(_log2_weight_1d(r, b, s) for s in range(1, star + 2))
+def _axis_table(r: float, b: float, limit: float):
+    """Octaves s = 1..K of one axis and their terms r s + b log2 s, with K
+    past the turning point and its term above ``limit``: no larger s has a
+    term at or below ``limit``."""
+    k = max(8, _turning_point(r, b) + 1)
+    while True:
+        s = np.arange(1, k + 1)
+        w = r * s + b * np.log2(s)
+        if w[-1] > limit:
+            return s, w
+        if k > 10 ** 6:
+            raise CapacityError("coordinate scan exceeded 10^6 octaves")
+        k *= 2
 
 
 def _check_n(n: float) -> float:
@@ -150,54 +165,59 @@ def _check_n(n: float) -> float:
     return n
 
 
+def _log2_limit(n: float, slacks: int = 1) -> float:
+    target = math.log2(n)
+    return target + slacks * TIE_RTOL * max(1.0, target)
+
+
+def in_cross(params: MajorantParams, boxes, n: float) -> np.ndarray:
+    """Whether each row of an (m, d) array of box indices lies in chi(N):
+    log2 w(s) <= log2 N + TIE_RTOL * max(1, log2 N), so exact ties are in."""
+    return log2_weight(params, boxes) <= _log2_limit(_check_n(n))
+
+
+def _members(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows.tolist()))
+
+
+def _cross_rows(params: MajorantParams, n: float) -> np.ndarray:
+    """The boxes of chi(N) as a lex-sorted (m, d) int64 array.
+
+    Candidates grow one coordinate at a time: a prefix keeps a value s when
+    its table terms plus the smallest terms of the later axes stay under the
+    prune limit.  ``in_cross`` then decides membership."""
+    r, b = params.r, params.b
+    # one more slack covers the rounding of a table sum against log2_weight
+    limit = _log2_limit(n, slacks=2)
+    mins = [_axis_table(r, bj, -math.inf)[1].min() for bj in b]
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1)
+    for i, bj in enumerate(b):
+        if not len(rows):
+            return np.empty((0, params.d), dtype=np.int64)
+        later = sum(mins[i + 1:])
+        s, w = _axis_table(r, bj, limit - used.min() - later)
+        keep_row, keep_s = np.nonzero(used[:, None] + w + later <= limit)
+        if keep_row.size > ENUMERATION_CAP:
+            raise CapacityError(
+                f"hyperbolic cross at N={n} exceeds {ENUMERATION_CAP} boxes")
+        rows = np.column_stack([rows[keep_row], s[keep_s]])
+        used = used[keep_row] + w[keep_s]
+    return rows[in_cross(params, rows, n)]
+
+
 def chi(params: MajorantParams, n: float) -> IndexFamily:
     """Box indices of the step hyperbolic cross: all s with w(s) <= N."""
     n = _check_n(n)
-    target = math.log2(n)
-    r, b, d = params.r, params.b, params.d
-    mins = [_coordinate_min_log2w(r, bj) for bj in b]
-    suffix_min = [0.0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + mins[i]
-
-    members: list[tuple[int, ...]] = []
-    prefix = [0] * d
-
-    def descend(i: int, used: float):
-        if i == d:
-            members.append(tuple(prefix))
-            if len(members) > ENUMERATION_CAP:
-                raise CapacityError(
-                    f"hyperbolic cross at N={n} exceeds {ENUMERATION_CAP} boxes")
-            return
-        limit = target - used - suffix_min[i + 1]
-        star = _turning_point(r, b[i])
-        s = 1
-        while True:
-            w = _log2_weight_1d(r, b[i], s)
-            if w <= limit:
-                prefix[i] = s
-                descend(i + 1, used + w)
-            elif s > star:
-                break
-            s += 1
-            if s > 10 ** 6:
-                raise CapacityError("coordinate scan exceeded 10^6 octaves")
-
-    descend(0, 0.0)
-    members.sort()
-    return IndexFamily(kind="chi", n=n, members=tuple(members))
+    return IndexFamily(kind="chi", n=n, members=_members(_cross_rows(params, n)))
 
 
 def theta(params: MajorantParams, n: float) -> IndexFamily:
     """The boundary shell: box indices with N < w(s) <= 2^l N."""
     n = _check_n(n)
-    target = math.log2(n)
-    outer = chi(params, n * 2.0 ** params.l)
-    keep = [s for s in outer
-            if sum(_log2_weight_1d(params.r, bj, sj)
-                   for bj, sj in zip(params.b, s)) > target]
-    return IndexFamily(kind="theta", n=n, members=tuple(keep))
+    outer = _cross_rows(params, n * 2.0 ** params.l)
+    return IndexFamily(kind="theta", n=n,
+                       members=_members(outer[~in_cross(params, outer, n)]))
 
 
 def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
@@ -205,47 +225,37 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
 
     The first d-1 coordinates range over [ceil(L/(2rd)), floor(L/(rd))] with
     L = floor(log2 N); the last coordinate is the smallest one pushing the
-    weight above N.  Members whose weight overshoots 2^l N, or whose last
-    coordinate falls below the common lower bound, are discarded.  In
-    dimension one this is the shell itself.
+    box out of chi(N).  Members outside chi(2^l N), or whose last coordinate
+    falls below the common lower bound, are discarded.  In dimension one
+    this is the shell itself.
     """
     n = _check_n(n)
     if params.d == 1:
         fam = theta(params, n)
         return IndexFamily(kind="theta_prime", n=n, members=fam.members)
 
-    target = math.log2(n)
-    big_l = math.floor(target)
+    big_l = math.floor(math.log2(n))
     r, b, d = params.r, params.b, params.d
     lo = max(1, math.ceil(big_l / (2 * r * d)))
     hi = math.floor(big_l / (r * d))
-    members: list[tuple[int, ...]] = []
-    if hi >= lo:
-        prefix_range = range(lo, hi + 1)
-
-        def emit(prefix: tuple[int, ...]):
-            used = sum(_log2_weight_1d(r, bj, sj) for bj, sj in zip(b, prefix))
-            s = 1
-            while True:
-                w = used + _log2_weight_1d(r, b[-1], s)
-                if w > target:
-                    if w <= target + params.l and s >= lo:
-                        members.append(prefix + (s,))
-                    return
-                s += 1
-                if s > 10 ** 6:
-                    raise CapacityError("coordinate scan exceeded 10^6 octaves")
-
-        def build(prefix: tuple[int, ...]):
-            if len(prefix) == d - 1:
-                emit(prefix)
-                return
-            for sj in prefix_range:
-                build(prefix + (sj,))
-
-        build(())
-    members = sorted(set(members))
-    return IndexFamily(kind="theta_prime", n=n, members=tuple(members))
+    if hi < lo:
+        return IndexFamily(kind="theta_prime", n=n, members=())
+    side = np.arange(lo, hi + 1)
+    prefixes = np.stack(np.meshgrid(*[side] * (d - 1), indexing="ij"),
+                        axis=-1).reshape(-1, d - 1)
+    # every prefix is outside chi(N) by the table's last s
+    least = sum(_axis_table(r, bj, -math.inf)[1].min() for bj in b[:-1])
+    s, _ = _axis_table(r, b[-1], _log2_limit(n, slacks=2) - least)
+    last = np.empty(len(prefixes), dtype=np.int64)
+    step = max(1, (1 << 18) // s.size)
+    for i in range(0, len(prefixes), step):
+        block = prefixes[i:i + step]
+        cand = np.column_stack([np.repeat(block, s.size, axis=0), np.tile(s, len(block))])
+        outside = ~in_cross(params, cand, n).reshape(len(block), s.size)
+        last[i:i + step] = s[outside.argmax(axis=1)]
+    rows = np.column_stack([prefixes, last])
+    rows = rows[in_cross(params, rows, n * 2.0 ** params.l) & (last >= lo)]
+    return IndexFamily(kind="theta_prime", n=n, members=_members(rows))
 
 
 def q_set(params: MajorantParams, n: float) -> SpectrumSet:

@@ -24,6 +24,7 @@ __all__ = [
     "omega_eval",
     "omega_dyadic",
     "log2_omega_dyadic",
+    "log2_weight",
     "MajorantAuditReport",
     "verify_majorant_axioms",
 ]
@@ -108,14 +109,23 @@ def omega_dyadic(params: MajorantParams, s) -> float:
 
 
 def log2_omega_dyadic(params: MajorantParams, s) -> float:
-    """log2 of omega_dyadic; the overflow-safe form used by set enumeration."""
+    """log2 of omega_dyadic, that is -log2 w(s) for one validated box index."""
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.size != params.d:
         raise ParameterError(f"index has {s.size} coordinates, expected {params.d}")
     if np.any(s < 1) or np.any(s != np.floor(s)):
         raise ParameterError(f"dyadic index coordinates must be integers >= 1, got {s}")
+    return float(-log2_weight(params, s.reshape(1, -1))[0])
+
+
+def log2_weight(params: MajorantParams, boxes) -> np.ndarray:
+    """log2 w(s) = r |s|_1 + sum_j b_j log2 s_j for every row of an (m, d)
+    array of box indices (all s_j >= 1, unchecked).  This is the only place
+    the box weight is computed; cross membership compares it against log2 N
+    through ``indexsets.in_cross``."""
+    boxes = np.asarray(boxes, dtype=float)
     b = np.asarray(params.b)
-    return float(-(params.r * s.sum() + (b * np.log2(s)).sum()))
+    return params.r * boxes.sum(axis=1) + (b * np.log2(boxes)).sum(axis=1)
 
 
 @dataclass

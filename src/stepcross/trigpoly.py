@@ -126,7 +126,10 @@ class TrigPolynomial:
     def octaves(self) -> np.ndarray:
         """Per-coefficient octave indices: sigma_j = bit length of |k_j|
         (zero coordinates give sigma_j = 0)."""
-        return np.frexp(np.abs(self.ks).astype(np.float64))[1]
+        mag = np.abs(self.ks)
+        # float64 rounding can carry the exponent one octave too high
+        est = np.frexp(mag.astype(np.float64))[1]
+        return est - ((est > 0) & (mag >> np.maximum(est - 1, 0) == 0))
 
     # -- algebra ----------------------------------------------------------
 
@@ -159,6 +162,8 @@ class TrigPolynomial:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.size != self.d:
             raise ParameterError(f"shift has {x0.size} coordinates, expected {self.d}")
+        if not np.all(np.isfinite(x0)):
+            raise ParameterError(f"shift must be finite, got {x0}")
         return TrigPolynomial._canonical(self.ks, self.cs * np.exp(-1j * (self.ks @ x0)))
 
     def restrict(self, mask) -> "TrigPolynomial":

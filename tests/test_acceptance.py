@@ -122,7 +122,8 @@ def test_deterministic_reports(capsys, tmp_path):
             [sys.executable, "-m", "stepcross.cli", "verify-all", "--quick",
              "--out", str(path)],
             capture_output=True, text=True,
-            env={**os.environ, "STEPCROSS_THREADS": threads},
+            env={**os.environ, "OMP_NUM_THREADS": threads,
+                 "OPENBLAS_NUM_THREADS": threads},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())

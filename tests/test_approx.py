@@ -14,6 +14,7 @@ from stepcross.approx import (
 )
 from stepcross.besov import BesovParams
 from stepcross.errors import ParameterError, UnsupportedRegimeError
+from stepcross.indexsets import chi, theta
 from stepcross.majorant import MajorantParams
 from stepcross.trigpoly import QuadratureSpec, TrigPolynomial
 
@@ -71,6 +72,29 @@ class TestProjection:
             project_q(f, P(1, 1.0, 0.0), n)
         with pytest.raises(ParameterError, match="finite and positive"):
             project_q(TrigPolynomial.zero(1), P(1, 1.0, 0.0), n)
+
+
+# (majorant, N, a box with w(s) = N exactly)
+TIE_CASES = [
+    (P(2, 1.0, (1 / 3, 1 / 3)), 2 ** 7, (2, 4)),
+    (P(2, 0.5, (-0.5, 0.25)), 2 ** 15, (24, 9)),  # 2^16.5 24^-1/2 9^1/4 = 2^15
+    (P(3, 1.5, (0.5, 0.25, -0.25)), 2 ** 25, (4, 6, 6)),
+]
+
+
+@pytest.mark.parametrize("omega,n,tie", TIE_CASES)
+def test_cross_shell_and_projection_agree(omega, n, tie):
+    # every box of chi(2^l N), probed through its corner frequency 2^{s-1}
+    outer = chi(omega, n * 2 ** omega.l)
+    inner = set(chi(omega, n))
+    shell = set(theta(omega, n))
+    corners = 2 ** (outer.as_array() - 1)
+    kept = project_q(TrigPolynomial(corners, np.ones(len(corners))), omega, n)
+    kept_boxes = {tuple(s) for s in kept.octaves().tolist()}
+    for s in outer:
+        assert (s in inner) == (s in kept_boxes) == (s not in shell), s
+    assert tie in inner and tie in kept_boxes and tie not in shell
+    assert tie in theta(omega, n / 2 ** omega.l)
 
 
 class TestRegime:

@@ -167,14 +167,6 @@ def test_parameter_error_is_exit_2(capsys):
     assert "dimension" in err
 
 
-def test_selfcheck_passes(capsys):
-    code, out, _ = run_cli(capsys, "norms", "--selfcheck")
-    assert code == 0
-    assert "result: PASS" in out
-    code, out, _ = run_cli(capsys, "kernels", "--selfcheck")
-    assert code == 0
-
-
 def test_verify_subset_and_exit(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--quick",
                            "--sections", "identities,cross-size")
@@ -188,17 +180,6 @@ def test_verify_all_quick_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
-
-
-def test_threads_env_warning(capsys, monkeypatch):
-    monkeypatch.setenv("STEPCROSS_THREADS", "many")
-    code, _, err = run_cli(capsys, "sets", "--n-max", "128")
-    assert code == 0
-    assert "STEPCROSS_THREADS" in err
-    monkeypatch.setenv("STEPCROSS_THREADS", "2")
-    code, _, err = run_cli(capsys, "sets", "--n-max", "128")
-    assert code == 0
-    assert err == ""
 
 
 def test_entry_point_subprocess():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepcross.errors import CapacityError, ParameterError
 from stepcross.majorant import MajorantParams
@@ -9,6 +10,7 @@ from stepcross.indexsets import (
     SpectrumSet,
     rho,
     chi,
+    in_cross,
     theta,
     theta_prime,
     q_set,
@@ -24,7 +26,7 @@ def P(d, r, b, l=2):
 
 
 def brute_chi(params, n, s_cap=40):
-    """Direct scan of a large box; oracle for the recursive enumeration."""
+    """Direct scan of a large box; oracle for the enumeration."""
     target = math.log2(n)
     out = []
 
@@ -232,3 +234,46 @@ class TestThetaSum:
         ts = theta_sum(params, 2 ** 8, p=1.0, beta=0.0)
         full = tail_sum(params, 2 ** 8, p=1.0, beta=0.0)
         assert 0 < ts <= full.value * (1 + 1e-9)
+
+
+B_CHOICES = (-1.0, -0.5, -1 / 3, 0.0, 0.25, 1 / 3, 0.5, 1.0)
+
+
+@st.composite
+def small_crosses(draw):
+    r = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    d = draw(st.integers(1, 3))
+    b = tuple(draw(st.sampled_from([v for v in B_CHOICES if v < r])) for _ in range(d))
+    n = draw(st.one_of(st.integers(0, 10).map(lambda e: 2.0 ** e),
+                       st.floats(1.0, 1024.0)))
+    return P(d, r, b, l=draw(st.integers(2, 3))), n
+
+
+class TestCrossProperties:
+    # Every axis term r s + b log2 s exceeds 10 by s = 40 and is above -0.1
+    # everywhere, so the cube [1, 40]^d holds chi(N) for N <= 2^10.
+    CUBE = 40
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_crosses())
+    def test_chi_is_filtered_cube(self, case):
+        params, n = case
+        axes = [np.arange(1, self.CUBE + 1)] * params.d
+        cube = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, params.d)
+        want = cube[in_cross(params, cube, n)]
+        assert list(chi(params, n)) == [tuple(s) for s in want.tolist()]
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_crosses())
+    def test_shells_nest(self, case):
+        params, n = case
+        shell = set(theta(params, n))
+        outer = set(chi(params, n * 2 ** params.l))
+        assert shell == outer - set(chi(params, n))
+        assert set(theta_prime(params, n)) <= shell
+
+    def test_exact_tie_is_inside(self):
+        params = P(2, 1.0, (1 / 3, 1 / 3))
+        # log2 w(2, 4) = 6 + (1 + 2) / 3 = 7
+        assert in_cross(params, [[2, 4], [4, 2]], 2 ** 7).tolist() == [True, True]
+        assert in_cross(params, [[2, 4]], 2 ** 7 * (1 - 1e-9)).tolist() == [False]

@@ -57,10 +57,25 @@ class TestContainer:
         f = TrigPolynomial([[1]], [1.0]).translate((math.pi / 2,))
         assert f.coefficient((1,)) == pytest.approx(-1j, abs=1e-15)
 
+    @pytest.mark.parametrize("shift", [math.nan, INF, -INF])
+    def test_translate_rejects_non_finite_shift(self, shift):
+        f = TrigPolynomial([[1, 2]], [1.0])
+        with pytest.raises(ParameterError, match="finite"):
+            f.translate((0.5, shift))
+
     def test_octaves(self):
         # rows come back in the container's lex order
         f = TrigPolynomial([[1, 0], [-3, 12], [4, -8]], [1.0, 1.0, 1.0])
         assert f.octaves().tolist() == [[2, 4], [1, 0], [3, 4]]
+
+    def test_octaves_exact_bit_length(self):
+        # float64 rounds 2^k - 1 up to 2^k once k > 53
+        mags = {v for k in range(63) for v in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
+        ks = sorted(mags | {-v for v in mags})
+        f = TrigPolynomial([[k] for k in ks], np.ones(len(ks)))
+        want = [abs(k).bit_length() for k in f.ks[:, 0].tolist()]
+        assert f.octaves()[:, 0].tolist() == want
+        assert TrigPolynomial([[2 ** 54 - 1]], [1.0]).octaves().tolist() == [[54]]
 
     def test_1d_shorthand(self):
         f = TrigPolynomial([1, 2, 3], [1.0, 1.0, 1.0])
