@@ -17,12 +17,7 @@ import numpy as np
 
 from .besov import BesovParams, besov_norm, normalize_to_ball
 from .errors import ParameterError, UnsupportedRegimeError
-from .extremal import (
-    WitnessConfig,
-    g3_shell_normalized,
-    g5_packet_normalized,
-    g7_stack_normalized,
-)
+from .extremal import WITNESS_BUILDERS, WitnessConfig
 from .indexsets import in_cross, q_set, q_size, rho, theta
 from .majorant import MajorantParams, omega_dyadic
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, random_in_spectrum
@@ -157,24 +152,13 @@ def _shell_sample(omega: MajorantParams, bp: BesovParams, n: float,
     fam = theta(omega, n)
     if len(fam) == 0:
         raise ParameterError(f"shell is empty at N={n}")
-    total = TrigPolynomial.zero(omega.d)
+    parts = []
     for s in fam:
         block = random_in_spectrum(rho(s), seed=rng, law="gaussian")
         norm = lp_norm(block, bp.p, quad)
-        if norm == 0.0:
-            continue
-        total = total + block * (omega_dyadic(omega, s) / norm)
-    return total
-
-
-def _witness_sample(family: str, omega: MajorantParams, bp: BesovParams,
-                    n: float) -> TrigPolynomial:
-    cfg = WitnessConfig(omega=omega, bp=bp, n=n)
-    if family == "g3":
-        return g3_shell_normalized(cfg)
-    if family == "g5":
-        return g5_packet_normalized(cfg)
-    return g7_stack_normalized(cfg)
+        if norm != 0.0:
+            parts.append(block * (omega_dyadic(omega, s) / norm))
+    return TrigPolynomial.sum_of(omega.d, parts)
 
 
 def _validate_family(family: str, regime: RateRegime, bp: BesovParams):
@@ -212,7 +196,7 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
         raise ParameterError("samples must be >= 1")
 
     records = []
-    eff_samples = 1 if family in ("g3", "g5", "g7") else samples
+    eff_samples = 1 if family in WITNESS_BUILDERS else samples
     for i, n in enumerate(n_grid):
         m = q_size(omega, n)
         if m < 4:
@@ -227,7 +211,7 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
             elif family == "shell":
                 f = _shell_sample(omega, bp, n, np.random.default_rng([seed, i, j]), quad)
             else:
-                f = _witness_sample(family, omega, bp, n)
+                f = WITNESS_BUILDERS[family](WitnessConfig(omega=omega, bp=bp, n=n))
             f, _ = normalize_to_ball(f, omega, bp, quad)
             worst = max(worst, approx_error(f, omega, n, q, quad))
         records.append(ExperimentRecord(

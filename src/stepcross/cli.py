@@ -27,36 +27,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .approx import fit_rate, rate_experiment
+from .approx import SAMPLE_FAMILIES, fit_rate, rate_experiment
 from .besov import BesovParams, besov_norm
 from .errors import CapacityError, ParameterError, QuadratureAccuracyError
-from .extremal import (
-    WitnessConfig,
-    g1_single_mode,
-    g2_shell_modes,
-    g3_shell_normalized,
-    g4_packet_cloud,
-    g5_packet_normalized,
-    g6_packet_stack,
-    g6_peak_value,
-    g7_stack_normalized,
-)
+from .extremal import WITNESS_BUILDERS, WitnessConfig, g6_peak_value
 from .indexsets import chi, q_size, size_prediction, tail_sum, theta, theta_prime, theta_sum
 from .kernels import band_kernel, fejer, k_packet, vallee_poussin
 from .majorant import MajorantParams, verify_majorant_axioms
 from .polyio import dumps_polynomial, read_polynomial
 from .trigpoly import QuadratureSpec, lp_norm
 from .verify import SECTION_NAMES, fmt_value, format_report, run_verification
-
-WITNESS_BUILDERS = {
-    "g1": g1_single_mode,
-    "g2": g2_shell_modes,
-    "g3": g3_shell_normalized,
-    "g4": g4_packet_cloud,
-    "g5": g5_packet_normalized,
-    "g6": g6_packet_stack,
-    "g7": g7_stack_normalized,
-}
 
 
 def _parse_b(value) -> tuple[float, ...] | float:
@@ -297,7 +277,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--p", default="2", help="L_p exponents, comma separated (inf allowed)")
     p.add_argument("--theta", type=float, default=2.0)
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--d", type=int, default=2)
     p.add_argument("--r", type=float, default=None,
                    help="majorant power; enables the smoothness norm")
     p.add_argument("--b", default="0")
@@ -315,8 +294,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = subs.add_parser("rates", help="projection-error rate experiment")
     _add_omega_flags(p, r=1.5)
-    p.add_argument("--family", choices=("random_ball", "shell", "g3", "g5", "g7"),
-                   default="shell")
+    p.add_argument("--family", choices=SAMPLE_FAMILIES, default="shell")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--theta", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)

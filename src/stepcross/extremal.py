@@ -35,6 +35,7 @@ __all__ = [
     "g6_peak_value",
     "g7_stack_normalized",
     "packet_layout",
+    "WITNESS_BUILDERS",
 ]
 
 
@@ -137,10 +138,9 @@ def g4_packet_cloud(cfg: WitnessConfig) -> TrigPolynomial:
     """One modulated packet per shell box, centers spread over a uniform
     cube so the peaks do not pile up."""
     layout = packet_layout(cfg)
-    total = TrigPolynomial.zero(cfg.omega.d)
-    for s, center in zip(layout.boxes, layout.centers):
-        total = total + k_packet(s, x_center=center, u=layout.u)
-    return total
+    return TrigPolynomial.sum_of(cfg.omega.d, (
+        k_packet(s, x_center=center, u=layout.u)
+        for s, center in zip(layout.boxes, layout.centers)))
 
 
 def g5_packet_normalized(cfg: WitnessConfig) -> TrigPolynomial:
@@ -161,10 +161,7 @@ def g6_packet_stack(cfg: WitnessConfig) -> TrigPolynomial:
     if min(min(s) for s in fam) < 2:
         raise ParameterError(
             f"packet stack needs every shell coordinate >= 2 at N={cfg.n}")
-    total = TrigPolynomial.zero(cfg.omega.d)
-    for s in fam:
-        total = total + k_packet(s)
-    return total
+    return TrigPolynomial.sum_of(cfg.omega.d, (k_packet(s) for s in fam))
 
 
 def g6_peak_value(cfg: WitnessConfig) -> float:
@@ -183,3 +180,14 @@ def g7_stack_normalized(cfg: WitnessConfig) -> TrigPolynomial:
     cross_size = cfg.n ** (1.0 / om.r) * cfg.log_n ** (-sum(om.b) / om.r)
     scale = cfg.c7 / cfg.n * cross_size ** (1.0 / p - 1.0) * cfg.log_n ** (-(om.d - 1) * inv_t)
     return g6_packet_stack(cfg) * scale
+
+
+WITNESS_BUILDERS = {
+    "g1": g1_single_mode,
+    "g2": g2_shell_modes,
+    "g3": g3_shell_normalized,
+    "g4": g4_packet_cloud,
+    "g5": g5_packet_normalized,
+    "g6": g6_packet_stack,
+    "g7": g7_stack_normalized,
+}

@@ -14,6 +14,13 @@ between distinct weights at these sizes, so a box whose weight equals N
 exactly, even through an irrational identity such as
 2^{16.5} 24^{-1/2} 9^{1/4} = 2^{15}, counts as inside everywhere.  Per-axis
 weight tables only bound the candidates that ``in_cross`` then filters.
+
+The series of the tail-domination lemma share one summand,
+w(s)^{-p} 2^{beta p |s|_1} = 2^{-p (log2 w(s) - beta |s|_1)}.  ``theta_sum``
+takes it from ``log2_weight`` over the shell rows.  ``tail_sum`` adds only
+positive terms: it splits the boxes outside chi(N) by the first axis where
+they leave the cross rows and sums each piece from per-axis prefix and
+suffix sums, so nothing is subtracted.
 """
 
 from __future__ import annotations
@@ -212,12 +219,15 @@ def chi(params: MajorantParams, n: float) -> IndexFamily:
     return IndexFamily(kind="chi", n=n, members=_members(_cross_rows(params, n)))
 
 
+def _shell_rows(params: MajorantParams, n: float) -> np.ndarray:
+    outer = _cross_rows(params, n * 2.0 ** params.l)
+    return outer[~in_cross(params, outer, n)]
+
+
 def theta(params: MajorantParams, n: float) -> IndexFamily:
     """The boundary shell: box indices with N < w(s) <= 2^l N."""
     n = _check_n(n)
-    outer = _cross_rows(params, n * 2.0 ** params.l)
-    return IndexFamily(kind="theta", n=n,
-                       members=_members(outer[~in_cross(params, outer, n)]))
+    return IndexFamily(kind="theta", n=n, members=_members(_shell_rows(params, n)))
 
 
 def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
@@ -278,24 +288,6 @@ def size_prediction(params: MajorantParams, n: float) -> float:
     return n ** (1.0 / params.r) * big_l ** expo
 
 
-def _term_log_parts(params: MajorantParams, p: float, beta: float):
-    a = (params.r - beta) * p
-    cs = [bj * p for bj in params.b]
-    return a, cs
-
-
-def _g_value(a: float, c: float, s: int) -> float:
-    return 2.0 ** (-a * s) * float(s) ** (-c)
-
-
-def _family_term(params: MajorantParams, p: float, beta: float, s) -> float:
-    a, cs = _term_log_parts(params, p, beta)
-    out = 1.0
-    for c, sj in zip(cs, s):
-        out *= _g_value(a, c, sj)
-    return out
-
-
 @dataclass(frozen=True)
 class TailSumResult:
     """Certified evaluation of the weight-series tail outside the cross."""
@@ -309,57 +301,76 @@ class TailSumResult:
         return self.bound / self.value if self.value > 0 else math.inf
 
 
-def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
-             rel_bound: float = 1e-6) -> TailSumResult:
-    """Sum of prod_j [2^{-(r-beta) s_j} s_j^{-b_j}]^p over all boxes outside
-    chi(N), with a certified truncation bound.
-
-    The series is summed over the cube [1, S]^d minus the cross part, and the
-    remainder is dominated coordinatewise by geometric series: the term
-    ratio is at most 2^{-a} when b_j p >= 0 (a = (r-beta)p) and at most
-    2^{-a/2} once s exceeds 2|b_j| p / (a ln 2).  S grows until the certified
-    remainder is below ``rel_bound`` times the value.
-    """
-    n = _check_n(n)
+def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> float:
     if not (beta < params.r):
         raise ParameterError(f"need beta < r, got beta={beta}, r={params.r}")
     if not (p >= 1):
         raise ParameterError(f"need p >= 1, got {p}")
-    a, cs = _term_log_parts(params, p, beta)
+    return _check_n(n)
 
-    cross = chi(params, n)
-    box_floor = max((max(s) for s in cross.members), default=1)
-    s_star = [max(1, math.ceil(2 * abs(c) / (a * math.log(2)))) if c < 0 else 1
-              for c in cs]
-    s_max = max([box_floor, 8, *s_star])
 
-    cross_part = sum(_family_term(params, p, beta, s) for s in cross)
+def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
+             rel_bound: float = 1e-6) -> TailSumResult:
+    """Sum of w(s)^{-p} 2^{beta p |s|_1} over all boxes s outside chi(N),
+    with a certified truncation bound.  Only positive terms are added.
+
+    The summand is prod_j g_j(s_j) with g_j(s) = 2^{-p (r s + b_j log2 s -
+    beta s)}.  A box leaves chi(N) at the first axis k where its prefix
+    stops being a prefix of a cross row.  For a prefix P of cross rows the
+    values of s_k that stay inside form an interval [lo, hi], because each
+    axis term r s + b log2 s is increasing for b >= 0 and convex for b < 0.
+    So, with pre_k[i] the sum of g_k over s <= i, suf_k[i] the sum over
+    s > i and full_j = suf_j[0],
+
+        tail = sum_k sum_P prod_{j<k} g_j(P_j) (pre_k[lo-1] + suf_k[hi])
+                   prod_{j>k} full_j.
+
+    Each suffix is summed up to s_max; past it the term ratio is at most
+    2^{-a} (a = (r-beta)p) when b_j >= 0 and at most 2^{-a/2} once s exceeds
+    2|b_j| p / (a ln 2), so a geometric series bounds the remainder.  s_max
+    doubles until every remainder is at most rel_bound/(2d) of the smallest
+    suffix it pads; every term has at most d suffix factors, so up to the
+    rounding of the sums the true value lies in [value, value + bound] with
+    bound = value ((1 + worst)^d - 1).
+    """
+    n = _check_series(params, n, p, beta)
+    rows = _cross_rows(params, n)
+    d, r, a = params.d, params.r, (params.r - beta) * p
+    s_star = [math.ceil(-2 * bj * p / (a * math.log(2))) for bj in params.b if bj < 0]
+    s_max = max([8, int(rows.max(initial=0)) + 1, *s_star])
+    # the smallest suffix used on axis k starts past the largest s_k in the cross
+    top = rows.max(axis=0, initial=0)
     while True:
-        fulls = []
-        tails = []
-        for c, st in zip(cs, s_star):
-            grid = np.arange(1, s_max + 1, dtype=float)
-            full = float(np.sum(2.0 ** (-a * grid) * grid ** (-c)))
-            ratio = 2.0 ** (-a) if c >= 0 else 2.0 ** (-a / 2.0)
-            head = _g_value(a, c, s_max + 1)
-            fulls.append(full)
-            tails.append(head / (1.0 - ratio))
-        box_total = math.prod(fulls)
-        with_tails = math.prod(f + t for f, t in zip(fulls, tails))
-        value = box_total - cross_part
-        bound = with_tails - box_total
-        if value > 0 and bound <= rel_bound * value:
-            return TailSumResult(value=value, bound=bound, s_max=s_max)
+        s = np.arange(1, s_max + 1)
+        terms, pre, suf, worst = [], [], [], 0.0
+        for bj, t in zip(params.b, top):
+            g = np.exp2(-p * (r * s + bj * np.log2(s) - beta * s))
+            ratio = 2.0 ** (-a if bj >= 0 else -a / 2)
+            terms.append(g)
+            pre.append(np.concatenate([[0.0], np.cumsum(g)]))
+            suf.append(np.append(np.cumsum(g[::-1])[::-1], 0.0))
+            worst = max(worst, float(g[-1] * ratio / (1 - ratio) / suf[-1][t]))
+        if worst <= rel_bound / (2 * d):
+            break
         if s_max > 10 ** 6:
             raise CapacityError("tail sum failed to certify below the requested bound")
         s_max *= 2
 
+    full = [float(sf[0]) for sf in suf]
+    value = 0.0 if len(rows) else math.prod(full)
+    for k in range(d if len(rows) else 0):
+        first = np.r_[True, (rows[1:, :k] != rows[:-1, :k]).any(axis=1)]
+        last = np.r_[first[1:], True]
+        lo, hi = rows[first, k], rows[last, k]
+        head = np.prod([terms[j][rows[first, j] - 1] for j in range(k)], axis=0)
+        part = head * (pre[k][lo - 1] + suf[k][hi])
+        value += float(part.sum()) * math.prod(full[k + 1:])
+    bound = value * math.expm1(d * math.log1p(worst))
+    return TailSumResult(value=value, bound=bound, s_max=s_max)
+
 
 def theta_sum(params: MajorantParams, n: float, p: float, beta: float) -> float:
-    """The same summand as tail_sum, restricted to the boundary shell."""
-    n = _check_n(n)
-    if not (beta < params.r):
-        raise ParameterError(f"need beta < r, got beta={beta}, r={params.r}")
-    if not (p >= 1):
-        raise ParameterError(f"need p >= 1, got {p}")
-    return sum(_family_term(params, p, beta, s) for s in theta(params, n))
+    """The tail_sum summand w(s)^{-p} 2^{beta p |s|_1}, summed over the
+    boundary shell."""
+    rows = _shell_rows(params, _check_series(params, n, p, beta))
+    return float(np.exp2(-p * (log2_weight(params, rows) - beta * rows.sum(axis=1))).sum())

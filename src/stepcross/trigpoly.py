@@ -116,6 +116,13 @@ class TrigPolynomial:
     def zero(cls, d: int) -> "TrigPolynomial":
         return cls(np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.complex128))
 
+    @classmethod
+    def sum_of(cls, d: int, parts) -> "TrigPolynomial":
+        """The sum of the d-dimensional polynomials ``parts``, canonicalized
+        once instead of once per pairwise addition."""
+        parts = [cls.zero(d), *parts]
+        return cls(np.concatenate([f.ks for f in parts]), np.concatenate([f.cs for f in parts]))
+
     def coefficient(self, k) -> complex:
         k = np.asarray(k, dtype=np.int64).reshape(-1)
         if k.size != self.d:

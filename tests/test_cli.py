@@ -72,6 +72,16 @@ def test_norms_requires_poly(capsys):
     assert "poly" in err
 
 
+def test_norms_has_no_dimension_flag(tmp_path, capsys):
+    # the dimension comes from the polynomial file
+    path = tmp_path / "f.txt"
+    write_polynomial(TrigPolynomial([[1, 2]], [1.0]), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--poly", str(path), "--d", "2"])
+    assert exc.value.code == 2
+    assert "--d" in capsys.readouterr().err
+
+
 def test_norms_non_finite_poly_exit_2(tmp_path, capsys):
     path = tmp_path / "f.txt"
     path.write_text("d=1\n1 nan 0\n2 inf 0\n")

@@ -5,6 +5,7 @@ import pytest
 
 from stepcross.besov import BesovParams, besov_norm
 from stepcross.errors import ParameterError
+from stepcross.indexsets import theta_prime
 from stepcross.extremal import (
     WitnessConfig,
     g1_single_mode,
@@ -17,7 +18,9 @@ from stepcross.extremal import (
     g7_stack_normalized,
     packet_layout,
 )
+from stepcross.kernels import k_packet
 from stepcross.majorant import MajorantParams
+from stepcross.trigpoly import TrigPolynomial
 
 
 def cfg_for(d=1, r=1.0, b=0.0, l=2, n=8.0, p=2.0, theta=2.0, **kw):
@@ -129,6 +132,37 @@ class TestPacketStack:
     def test_g7_needs_finite_p(self):
         with pytest.raises(ParameterError):
             g7_stack_normalized(cfg_for(d=1, n=2 ** 10, p=math.inf))
+
+
+def pairwise_sum(d, parts):
+    total = TrigPolynomial.zero(d)
+    for part in parts:
+        total = total + part
+    return total
+
+
+def assert_bit_identical(f, g):
+    assert np.array_equal(f.ks, g.ks)
+    assert f.cs.tobytes() == g.cs.tobytes()
+
+
+class TestOnePassSum:
+    # the families sum their packets in one canonicalization; the result
+    # must equal the running pairwise sum bit for bit
+
+    @pytest.mark.parametrize("n", [2 ** 12, 2 ** 15, 2 ** 18])
+    def test_cloud(self, n):
+        cfg = cfg_for(d=2, b=(0.0, 0.0), n=n, p=1.0)
+        layout = packet_layout(cfg)
+        want = pairwise_sum(2, [k_packet(s, x_center=c, u=layout.u)
+                                for s, c in zip(layout.boxes, layout.centers)])
+        assert_bit_identical(g4_packet_cloud(cfg), want)
+
+    @pytest.mark.parametrize("n", [2 ** 12, 2 ** 15, 2 ** 18])
+    def test_stack(self, n):
+        cfg = cfg_for(d=2, r=1.5, b=(0.0, 0.0), n=n)
+        fam = theta_prime(cfg.omega, n)
+        assert_bit_identical(g6_packet_stack(cfg), pairwise_sum(2, [k_packet(s) for s in fam]))
 
 
 class TestBallSize:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stepcross.errors import CapacityError, ParameterError
 from stepcross.majorant import MajorantParams
+from stepcross.verify import MIXED_2D, PLAIN_2D, PLAIN_3D
 from stepcross.indexsets import (
     SpectrumSet,
     rho,
@@ -42,6 +43,48 @@ def brute_chi(params, n, s_cap=40):
 
     rec([])
     return sorted(out)
+
+
+# chi(N) lies in [1, 40]^d for every majorant drawn by small_crosses (see
+# TestCrossProperties) and for PLAIN_2D up to N = 2^20.
+CROSS_CUBE = 40
+
+
+def axis_terms(params, bj, p, beta, s):
+    return np.exp2(-p * (params.r * s + bj * np.log2(s) - beta * s))
+
+
+def brute_tail(params, n, p, beta, rel=1e-12):
+    """Oracle for tail_sum: the positive terms w(s)^{-p} 2^{beta p |s|_1} of
+    every box in [1, side]^d outside chi(N), one slice of s_1 at a time, with
+    side doubled until the mass beyond the cube is below ``rel`` of the sum."""
+    d = params.d
+    inner = np.stack(np.meshgrid(*[np.arange(1, CROSS_CUBE + 1)] * d, indexing="ij"), axis=-1)
+    inside = in_cross(params, inner.reshape(-1, d), n).reshape((CROSS_CUBE,) * d)
+    side = CROSS_CUBE
+    while True:
+        s = np.arange(1, side + 1)
+        tabs = [axis_terms(params, bj, p, beta, s) for bj in params.b]
+        rest = np.ones(())
+        for t in tabs[1:]:
+            rest = np.multiply.outer(rest, t)
+        parts = []
+        for i, t0 in enumerate(tabs[0]):
+            mask = np.zeros(rest.shape, dtype=bool)
+            if i < CROSS_CUBE:
+                mask[(slice(0, CROSS_CUBE),) * (d - 1)] = inside[i]
+            parts.append(float(np.where(mask, 0.0, t0 * rest).sum()))
+        ref = math.fsum(parts)
+        # every box beyond the cube has some s_j > side
+        far_s = np.arange(side + 1, 64 * side)
+        all_s = np.arange(1, 64 * side)
+        fulls = [axis_terms(params, bj, p, beta, all_s).sum() for bj in params.b]
+        far = sum(axis_terms(params, bj, p, beta, far_s).sum()
+                  * math.prod(fulls[:j] + fulls[j + 1:])
+                  for j, bj in enumerate(params.b))
+        if far <= rel * ref:
+            return ref
+        side *= 2
 
 
 class TestRho:
@@ -219,6 +262,22 @@ class TestTailSum:
         res = tail_sum(P(2, 1.0, (-0.5, 0.0)), 2 ** 6, p=1.0, beta=0.5)
         assert res.bound <= 1e-6 * res.value
 
+    def test_plain_3d_deep_cross(self):
+        # the cube total minus the cross part once cancelled to 1.69e-15 here
+        res = tail_sum(PLAIN_3D, 2.0 ** 40, p=2.0, beta=0.0)
+        assert res.value == pytest.approx(2.1877e-22, rel=1e-4, abs=0)
+        assert 0 < res.bound <= 1e-6 * res.value
+
+    @pytest.mark.parametrize("e", range(30, 41))
+    def test_mixed_2d_deep_crosses_certify(self, e):
+        res = tail_sum(MIXED_2D, 2.0 ** e, p=2.0, beta=0.0)
+        assert 0 < res.relative_bound <= 1e-6
+
+    def test_plain_2d_matches_brute_force(self):
+        n = 2.0 ** 20
+        res = tail_sum(PLAIN_2D, n, p=2.0, beta=0.0)
+        assert res.value == pytest.approx(brute_tail(PLAIN_2D, n, 2.0, 0.0), rel=1e-12, abs=0)
+
     def test_rejects_beta_at_r(self):
         with pytest.raises(ParameterError):
             tail_sum(P(1, 1.0, 0.0), 8, p=1.0, beta=1.0)
@@ -271,6 +330,21 @@ class TestCrossProperties:
         outer = set(chi(params, n * 2 ** params.l))
         assert shell == outer - set(chi(params, n))
         assert set(theta_prime(params, n)) <= shell
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_crosses(), st.sampled_from((1.0, 2.0)), st.booleans())
+    def test_series_match_brute_force(self, case, p, shifted):
+        params, n = case
+        beta = params.r / 2 if shifted else 0.0
+        res = tail_sum(params, n, p, beta)
+        ref = brute_tail(params, n, p, beta)
+        assert res.value <= ref * (1 + 1e-12)
+        assert ref <= (res.value + res.bound) * (1 + 1e-12)
+        assert res.relative_bound <= 1e-6
+        assert res.bound > 0
+        shell = [math.prod(axis_terms(params, bj, p, beta, sj) for bj, sj in zip(params.b, s))
+                 for s in theta(params, n)]
+        assert theta_sum(params, n, p, beta) == pytest.approx(math.fsum(shell), rel=1e-12, abs=0)
 
     def test_exact_tie_is_inside(self):
         params = P(2, 1.0, (1 / 3, 1 / 3))

@@ -53,6 +53,18 @@ class TestContainer:
         assert (2.0 * f).coefficient((1,)) == 2.0
         assert (f + (-f)).is_zero
 
+    def test_sum_of_matches_pairwise(self):
+        rng = np.random.default_rng(5)
+        parts = [TrigPolynomial(rng.integers(-3, 4, size=(6, 2)), rng.integers(-2, 3, size=6))
+                 for _ in range(5)]
+        total = TrigPolynomial.zero(2)
+        for part in parts:
+            total = total + part
+        got = TrigPolynomial.sum_of(2, parts)
+        assert np.array_equal(got.ks, total.ks) and np.array_equal(got.cs, total.cs)
+        empty = TrigPolynomial.sum_of(3, [])
+        assert empty.is_zero and empty.d == 3
+
     def test_translate_phase(self):
         f = TrigPolynomial([[1]], [1.0]).translate((math.pi / 2,))
         assert f.coefficient((1,)) == pytest.approx(-1j, abs=1e-15)
