@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,16 +40,20 @@ from .trigpoly import QuadratureSpec, lp_norm
 from .verify import SECTION_NAMES, fmt_value, format_report, run_verification
 
 
-def _parse_b(value) -> tuple[float, ...] | float:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    parts = [p for p in str(value).split(",") if p.strip()]
-    if not parts:
-        raise ParameterError(f"cannot parse log-weight list from {value!r}")
-    vals = tuple(float(p) for p in parts)
+def _parse_b(value: str) -> tuple[float, ...] | float:
+    vals = _parse_list(value, float, "log-weight")
     return vals[0] if len(vals) == 1 else vals
+
+
+def _parse_list(value, kind, what: str) -> tuple:
+    """A comma-separated list of ``kind`` values; ParameterError if malformed."""
+    try:
+        vals = tuple(kind(p) for p in str(value).split(",") if p.strip())
+    except ValueError:
+        vals = ()
+    if not vals:
+        raise ParameterError(f"cannot parse {what} list from {value!r}")
+    return vals
 
 
 def _omega(args) -> MajorantParams:
@@ -56,8 +61,8 @@ def _omega(args) -> MajorantParams:
 
 
 def _n_grid(n_min: float, n_max: float) -> list[float]:
-    if not (1 < n_min <= n_max):
-        raise ParameterError(f"need 1 < n_min <= n_max, got {n_min}, {n_max}")
+    if not (1 < n_min <= n_max < math.inf):
+        raise ParameterError(f"need 1 < n_min <= n_max < inf, got {n_min}, {n_max}")
     grid, n = [], float(n_min)
     while n <= n_max * (1 + 1e-12):
         grid.append(n)
@@ -128,7 +133,7 @@ def _cmd_norms(args) -> int:
                                   rel_tol=args.rel_tol))
     lines.append(f"terms: {f.n_terms}")
     lines.append(f"degrees: {','.join(str(v) for v in f.degrees)}")
-    ps = [float(p) for p in str(args.p).split(",")]
+    ps = _parse_list(args.p, float, "exponent")
     for p in ps:
         lines.append(f"lp,{fmt_value(p)},{fmt_value(lp_norm(f, p, quad))}")
     if args.r is not None:
@@ -141,10 +146,6 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _parse_s(value) -> tuple[int, ...]:
-    return tuple(int(p) for p in str(value).split(",") if p.strip())
-
-
 def _cmd_kernels(args) -> int:
     if args.family in ("fejer", "vp"):
         if args.n < 1:
@@ -152,11 +153,11 @@ def _cmd_kernels(args) -> int:
         f = fejer(args.n) if args.family == "fejer" else vallee_poussin(args.n)
         params = dict(family=args.family, n=args.n)
     elif args.family == "band":
-        s = _parse_s(args.s)
+        s = _parse_list(args.s, int, "octave index")
         f = band_kernel(s)
         params = dict(family="band", s=args.s)
     elif args.family == "packet":
-        s = _parse_s(args.s)
+        s = _parse_list(args.s, int, "octave index")
         f = k_packet(s, u=args.u)
         params = dict(family="packet", s=args.s, u="default" if args.u is None else args.u)
     else:
@@ -196,6 +197,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.family not in WITNESS_BUILDERS:
+        raise ParameterError(f"unknown witness family {args.family!r}")
     om = _omega(args)
     bp = BesovParams(args.p, args.theta)
     cfg = WitnessConfig(omega=om, bp=bp, n=args.n)
@@ -323,12 +326,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_all)
 
     if config:
-        known = set()  # every dest a subcommand parses into
+        defaults = {}  # every dest a subcommand parses into, with its default
         for sub in subs.choices.values():
-            known.update(vars(sub.parse_args([])))
-        unknown = set(config) - (known - {"func", "config"})
+            defaults.update(vars(sub.parse_args([])))
+        unknown = set(config) - (set(defaults) - {"func", "config"})
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        config = {key: _config_token(key, value, defaults[key])
+                  for key, value in config.items()}
         # subcommands parse into a fresh namespace, so defaults must land on
         # each subparser, not on the root parser
         for sub in subs.choices.values():
@@ -336,10 +341,28 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _config_token(key: str, value, default):
+    """A config value as its flag would spell it.  argparse runs string
+    defaults through the option's type when the subcommand parses, so a
+    malformed value is a usage error of that subcommand, as on the command
+    line.  Switches take JSON booleans; lists become comma lists."""
+    def scalar(v):
+        return isinstance(v, (int, float, str)) and not isinstance(v, bool)
+
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, list) and value and all(map(scalar, value)):
+        return ",".join(map(str, value))
+    elif scalar(value):
+        return str(value)
+    raise ParameterError(f"config key {key!r} has an unusable value {value!r}")
+
+
 def _load_config(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"config {path} must hold one flat JSON object")

@@ -53,6 +53,7 @@ __all__ = [
 MATERIALIZE_CAP = 1 << 22
 ENUMERATION_CAP = 5_000_000
 TIE_RTOL = 1e-12
+EPS = math.ulp(1.0)
 
 
 def _check_box_index(s, d: int) -> tuple[int, ...]:
@@ -285,7 +286,10 @@ def size_prediction(params: MajorantParams, n: float) -> float:
     n = _check_n(n)
     big_l = max(1.0, math.log2(n))
     expo = (params.d - 1) - sum(params.b) / params.r
-    return n ** (1.0 / params.r) * big_l ** expo
+    try:
+        return n ** (1.0 / params.r) * big_l ** expo
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,8 @@ def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> fl
 def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
              rel_bound: float = 1e-6) -> TailSumResult:
     """Sum of w(s)^{-p} 2^{beta p |s|_1} over all boxes s outside chi(N),
-    with a certified truncation bound.  Only positive terms are added.
+    with a bound that covers truncation and rounding.  Only positive terms
+    are added.
 
     The summand is prod_j g_j(s_j) with g_j(s) = 2^{-p (r s + b_j log2 s -
     beta s)}.  A box leaves chi(N) at the first axis k where its prefix
@@ -329,9 +334,10 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
     2^{-a} (a = (r-beta)p) when b_j >= 0 and at most 2^{-a/2} once s exceeds
     2|b_j| p / (a ln 2), so a geometric series bounds the remainder.  s_max
     doubles until every remainder is at most rel_bound/(2d) of the smallest
-    suffix it pads; every term has at most d suffix factors, so up to the
-    rounding of the sums the true value lies in [value, value + bound] with
-    bound = value ((1 + worst)^d - 1).
+    suffix it pads; every term has at most d suffix factors, so the
+    truncation is at most value ((1 + worst)^d - 1).  ``bound`` adds to it a
+    rounding allowance of a few ulps per summed term and per factor, and the
+    true value lies in [value, value + bound].
     """
     n = _check_series(params, n, p, beta)
     rows = _cross_rows(params, n)
@@ -365,7 +371,14 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
         head = np.prod([terms[j][rows[first, j] - 1] for j in range(k)], axis=0)
         part = head * (pre[k][lo - 1] + suf[k][hi])
         value += float(part.sum()) * math.prod(full[k + 1:])
-    bound = value * math.expm1(d * math.log1p(worst))
+    # Rounding, in units of eps.  A factor g_j(s) is exp2 of an argument
+    # |y| <= y_max that carries a few ulps of |y|, so it is off by at most
+    # 2 y_max + 1 eps; a prefix or suffix sum adds s_max more.  A term
+    # multiplies d such factors and is summed over the prefix rows and the
+    # d axes.  Every term is positive, so the same count bounds the value.
+    y_max = p * ((r + abs(beta)) * s_max + max(map(abs, params.b)) * math.log2(s_max))
+    ulps = d * (2 * y_max + 3 + s_max) + len(rows) + 2 * d
+    bound = value * (math.expm1(d * math.log1p(worst)) + ulps * EPS)
     return TailSumResult(value=value, bound=bound, s_max=s_max)
 
 

@@ -18,6 +18,9 @@ from .trigpoly import TrigPolynomial
 
 __all__ = ["read_polynomial", "write_polynomial", "dumps_polynomial", "loads_polynomial"]
 
+# frequencies are int64, and |k| must be one too
+MAX_FREQUENCY = (1 << 63) - 1
+
 
 def dumps_polynomial(f: TrigPolynomial) -> str:
     lines = [f"d={f.d}"]
@@ -50,6 +53,8 @@ def loads_polynomial(text: str) -> TrigPolynomial:
             cs.append(complex(float(parts[d]), float(parts[d + 1])))
         except ValueError as exc:
             raise ParameterError(f"bad coefficient line {ln!r}") from exc
+        if any(abs(k) > MAX_FREQUENCY for k in ks[-1]):
+            raise ParameterError(f"frequency beyond +-(2^63 - 1) on line {ln!r}")
         if not np.isfinite(cs[-1]):
             raise ParameterError(f"non-finite coefficient on line {ln!r}")
     if not ks:
@@ -71,7 +76,11 @@ def write_polynomial(f: TrigPolynomial, target) -> None:
 def read_polynomial(source) -> TrigPolynomial:
     """Read from a path or text stream."""
     if isinstance(source, (str, Path)):
-        return loads_polynomial(Path(source).read_text())
+        try:
+            text = Path(source).read_text()
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read polynomial file {source}: {exc}") from exc
+        return loads_polynomial(text)
     if hasattr(source, "read"):
         return loads_polynomial(source.read())
     raise ParameterError(f"cannot read polynomial from {source!r}")

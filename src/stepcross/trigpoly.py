@@ -7,8 +7,11 @@ so every basis exponential has unit norm in every L_p.
 Norm evaluation is exact where exactness is available: Parseval for p = 2,
 and full-degree sampling for even integer p (|f|^p is itself a trigonometric
 polynomial, so a grid finer than its degree integrates it without error).
-Other exponents fall back to adaptive grid refinement; the sup norm refines
-a sampled maximum and is reported as a certified-from-below estimate.
+Other exponents fall back to adaptive grid refinement from the Nyquist grid
+of |f|^2, stopped when two successive grids agree (an estimate, not a
+certified error); the sup norm refines a sampled maximum, which never exceeds
+the true sup.  Every grid is capped at ``max_points`` points; the per-axis
+cap ``max_grid`` limits only the two refinement loops.
 """
 
 from __future__ import annotations
@@ -262,10 +265,12 @@ class QuadratureSpec:
     """Controls for norm evaluation.
 
     mode 'auto' picks Parseval for p=2, exact sampling for even integer p
-    when the required grid fits the caps, and adaptive refinement otherwise.
-    Forcing a specific mode raises ParameterError when it does not apply.
-    ``max_grid`` is the per-axis cap (a power of two), ``max_points`` the
-    total grid size cap.
+    when the exact grid has at most ``max_points`` points, and adaptive
+    refinement otherwise.  Forcing a specific mode raises ParameterError when
+    it does not apply.  ``max_points`` caps the size of every grid.
+    ``max_grid`` (a power of two) caps each axis of the refined grids only:
+    the adaptive mean starts at most one doubling below it, and the sup
+    estimate refines up to it; exact even-p grids ignore it.
     """
 
     mode: str = "auto"
@@ -293,12 +298,8 @@ def _abs_power_mean(values: np.ndarray, p: float) -> float:
 
 
 def _even_exact_grid(f: TrigPolynomial, p: int, quad: QuadratureSpec):
-    degs = f.degrees
-    grid = tuple(pow2ceil(p * max(df, 0) + 1) for df in degs)
-    grid = tuple(max(8, g) for g in grid)
-    if max(grid) > quad.max_grid or math.prod(grid) > quad.max_points:
-        return None
-    return grid
+    grid = tuple(max(8, pow2ceil(p * df + 1)) for df in f.degrees)
+    return grid if math.prod(grid) <= quad.max_points else None
 
 
 def _double_within_caps(grid, quad: QuadratureSpec):
@@ -314,14 +315,8 @@ def _double_within_caps(grid, quad: QuadratureSpec):
     return (tuple(new), changed)
 
 
-def _start_grid(f: TrigPolynomial, oversample: int, quad: QuadratureSpec):
-    degs = f.degrees
-    grid = []
-    for df in degs:
-        g = pow2ceil(oversample * (2 * max(df, 0) + 1))
-        if g > quad.max_grid:
-            g = max(8, quad.max_grid // 4)
-        grid.append(max(8, g))
+def _fit_points(grid, quad: QuadratureSpec):
+    grid = list(grid)
     while math.prod(grid) > quad.max_points:
         grid[int(np.argmax(grid))] //= 2
         if max(grid) < 8:
@@ -329,8 +324,20 @@ def _start_grid(f: TrigPolynomial, oversample: int, quad: QuadratureSpec):
     return tuple(grid)
 
 
+def _sup_start_grid(f: TrigPolynomial, quad: QuadratureSpec):
+    grid = []
+    for df in f.degrees:
+        g = pow2ceil(4 * (2 * df + 1))
+        if g > quad.max_grid:
+            g = max(8, quad.max_grid // 4)
+        grid.append(max(8, g))
+    return _fit_points(grid, quad)
+
+
 def _adaptive_mean(f: TrigPolynomial, p: float, quad: QuadratureSpec) -> float:
-    grid = _start_grid(f, oversample=2, quad=quad)
+    # the Nyquist size of |f|^2, kept one doubling below the axis cap
+    grid = _fit_points([max(8, min(pow2ceil(2 * df + 1), quad.max_grid // 2))
+                        for df in f.degrees], quad)
     prev = None
     while True:
         est = _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
@@ -345,7 +352,7 @@ def _adaptive_mean(f: TrigPolynomial, p: float, quad: QuadratureSpec) -> float:
 
 
 def _sup_estimate(f: TrigPolynomial, quad: QuadratureSpec) -> float:
-    grid = _start_grid(f, oversample=4, quad=quad)
+    grid = _sup_start_grid(f, quad)
     est = float(np.max(np.abs(f.evaluate_grid(grid))))
     while True:
         grid, changed = _double_within_caps(grid, quad)
@@ -362,11 +369,13 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     """L_p norm under the normalized measure, 1 <= p <= inf.
 
     p = 2 is exact (Parseval).  Even integer p is exact when a grid finer
-    than the degree of |f|^p fits the caps.  Fractional and odd p refine a
-    sampled mean until the relative change is below ``rel_tol``, raising
-    QuadratureAccuracyError (with the best estimate attached) when the caps
-    are hit first.  p = inf refines a sampled maximum the same way but never
-    raises: the result is a lower estimate of the true sup.
+    than the degree of |f|^p has at most ``max_points`` points.  Fractional
+    and odd p start at the Nyquist grid of |f|^2 and double each axis (up to
+    ``max_grid``, within ``max_points``) until the relative change is below
+    ``rel_tol``; this stop rule is a heuristic, so the result is an estimate.
+    QuadratureAccuracyError (with the best estimate attached) is raised when
+    the caps are hit first.  p = inf refines a sampled maximum the same way
+    but never raises: the result is a lower estimate of the true sup.
     """
     quad = quad or QuadratureSpec()
     if f.is_zero:

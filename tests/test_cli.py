@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stepcross.cli import main
 from stepcross.extremal import WitnessConfig, g6_peak_value
@@ -89,6 +92,120 @@ def test_norms_non_finite_poly_exit_2(tmp_path, capsys):
     assert code == 2
     assert "non-finite coefficient" in err
     assert "lp," not in out
+
+
+def exit_code(capsys, *argv):
+    """main's exit code, also when argparse exits; any other exception
+    propagates and fails the test."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+MALFORMED_POLYS = {
+    "no_header": "1 1.0 0.0\n",
+    "empty": "",
+    "bad_dimension": "d=two\n",
+    "zero_dimension": "d=0\n",
+    "short_row": "d=2\n1 1.0 0.0\n",
+    "long_row": "d=1\n1 2 1.0 0.0\n",
+    "fractional_frequency": "d=1\n1.5 1.0 0.0\n",
+    "word_coefficient": "d=1\n1 one 0.0\n",
+    "overflowing_coefficient": "d=1\n1 1e400 0.0\n",
+    "frequency_past_int64": "d=1\n99999999999999999999 1.0 0.0\n",
+    "frequency_int64_min": "d=1\n-9223372036854775808 1.0 0.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POLYS))
+def test_norms_malformed_poly_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "f.poly"
+    path.write_text(MALFORMED_POLYS[name])
+    code, err = exit_code(capsys, "norms", "--poly", str(path), "--p", "1.5,4,inf")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["missing", "directory", "binary"])
+def test_norms_unreadable_poly_exit_2(tmp_path, capsys, target):
+    path = tmp_path / "f.poly"
+    if target == "directory":
+        path.mkdir()
+    elif target == "binary":
+        path.write_bytes(b"\xff\xfe\x00d=1")
+    code, err = exit_code(capsys, "norms", "--poly", str(path))
+    assert code == 2
+    assert "cannot read polynomial" in err
+
+
+FREQUENCY_TOKENS = ["0", "1", "-3", "2.5", "abc", str(2 ** 63 - 1), str(2 ** 63), str(-2 ** 63),
+                    str(10 ** 20)]
+COEFFICIENT_PAIRS = ["1.5 -2", "0 1", "-0.25 0", "nan 0", "1 1e400", "abc 1"]
+
+
+# capsys is drained by every call, so sharing it between examples is safe
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_norms_poly_text_exits_0_or_2(capsys, data):
+    # rows of the right shape, so each token reaches the parser's checks
+    d = data.draw(st.sampled_from((1, 2)), label="d")
+    rows = data.draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(FREQUENCY_TOKENS), min_size=d, max_size=d),
+        st.sampled_from(COEFFICIENT_PAIRS)), max_size=4), label="rows")
+    text = "\n".join([f"d={d}"] + [" ".join([*ks, cs]) for ks, cs in rows]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.poly"
+        path.write_text(text)
+        # p = 2 is Parseval, so no accuracy or capacity limit can end the run
+        code, _ = exit_code(capsys, "norms", "--poly", str(path), "--p", "2")
+    assert code in (0, 2)
+
+
+MALFORMED_CONFIGS = {
+    "not_json": "{d: 3",
+    "empty": "",
+    "array": "[1, 2]",
+    "unknown_key": '{"bogus": 1}',
+    "word_for_int": '{"d": "two"}',
+    "fraction_for_int": '{"d": 2.5}',
+    "bool_for_int": '{"d": true}',
+    "null_for_float": '{"n_min": null}',
+    "object_value": '{"r": {"x": 1}}',
+    "bad_list": '{"b": "zero"}',
+    "infinite_range": '{"n_max": "inf"}',
+    "string_for_switch": '{"quick": "yes"}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exit_2(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(MALFORMED_CONFIGS[name])
+    command = ["verify-all"] if name == "string_for_switch" else ["sets"]
+    code, err = exit_code(capsys, *command, "--config", str(cfg))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_config_witness_family_checked(tmp_path, capsys):
+    # argparse does not check defaults against the choices
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"family": "g99"}')
+    code, err = exit_code(capsys, "witness", "--config", str(cfg))
+    assert code == 2
+    assert "g99" in err
+
+
+def test_config_lists_and_numbers_read_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": [0.5, 0.25], "r": 1.5, "n_max": 256, "quick": False}))
+    _, from_config, _ = run_cli(capsys, "sets", "--config", str(cfg))
+    _, from_flags, _ = run_cli(capsys, "sets", "--b", "0.5,0.25", "--r", "1.5",
+                               "--n-max", "256")
+    assert from_config == from_flags
 
 
 def test_kernels_output_parses_back(capsys):
@@ -198,3 +315,12 @@ def test_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "stepcross 0.1.0" in proc.stdout
+
+
+def test_package_runs_as_module():
+    # python -m stepcross, as from a checkout with src on the path
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepcross", "verify-all", "--quick", "--sections", "cross-size"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "overall: PASS (1/1 sections)" in proc.stdout

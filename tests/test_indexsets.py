@@ -231,6 +231,10 @@ class TestQSet:
                   for m in range(6, 21)]
         assert max(ratios) / min(ratios) < 4.0
 
+    def test_prediction_past_float_range_is_inf(self):
+        # L^{d-1} with L = 20 overflows a float from d of about 238
+        assert size_prediction(P(1000, 1.0, 0.0), 2.0 ** 20) == math.inf
+
 
 class TestTailSum:
     def test_geometric_1d(self):
@@ -277,6 +281,22 @@ class TestTailSum:
         n = 2.0 ** 20
         res = tail_sum(PLAIN_2D, n, p=2.0, beta=0.0)
         assert res.value == pytest.approx(brute_tail(PLAIN_2D, n, 2.0, 0.0), rel=1e-12, abs=0)
+
+    def test_bracket_covers_rounding(self):
+        # The truncation bound here is ~1e-18 relative, below the rounding of
+        # the sums; without a rounding allowance the true sum lay 3.1e-16
+        # relative above value + bound.
+        mpmath = pytest.importorskip("mpmath")
+        params, n = P(2, 1.0, (0.0, 0.0)), 2.0 ** 40
+        # b = 0: s lies in chi(2^40) iff |s|_1 <= 40, and there are m - 1
+        # boxes with |s|_1 = m, each with the term 2^{-(r - beta) p m}
+        assert max(map(sum, chi(params, n))) == 40
+        res = tail_sum(params, n, p=1.0, beta=0.5)
+        with mpmath.workdps(60):
+            x = mpmath.mpf(2) ** mpmath.mpf(-0.5)
+            ref = mpmath.nsum(lambda m: (m - 1) * x ** m, [41, mpmath.inf])
+            assert res.value <= ref <= mpmath.mpf(res.value) + mpmath.mpf(res.bound)
+        assert res.relative_bound <= 1e-6
 
     def test_rejects_beta_at_r(self):
         with pytest.raises(ParameterError):

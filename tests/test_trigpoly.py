@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepcross.errors import CapacityError, ParameterError, QuadratureAccuracyError
 from stepcross.indexsets import q_set, rho
@@ -174,10 +175,42 @@ class TestEvaluation:
         vals = f.evaluate_grid((8,))
         assert np.max(np.abs(vals)) == pytest.approx(4.0, rel=1e-14)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_grid_matches_direct_property(self, data):
+        # any grid side, including aliasing grids smaller than 2n + 1
+        d = data.draw(st.sampled_from((1, 2)), label="d")
+        n = data.draw(st.integers(1, 12), label="terms")
+        ks = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=d, max_size=d),
+                                min_size=n, max_size=n), label="ks")
+        cs = data.draw(st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                                   allow_infinity=False),
+                                min_size=n, max_size=n), label="cs")
+        grid = tuple(data.draw(st.lists(st.integers(1, 48), min_size=d, max_size=d),
+                               label="grid"))
+        f = TrigPolynomial(ks, cs)
+        vals = f.evaluate_grid(grid)
+        assert vals.shape == grid
+        mesh = np.meshgrid(*[2 * np.pi * np.arange(g) / g for g in grid], indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        direct = f.evaluate(pts).reshape(grid)
+        scale = max(1.0, float(np.sum(np.abs(f.cs))))
+        np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12 * scale * max(grid))
+
     def test_grid_memory_cap(self):
         f = TrigPolynomial([[1, 1]], [1.0])
         with pytest.raises(CapacityError):
             f.evaluate_grid((1 << 14, 1 << 14))
+
+
+@pytest.fixture
+def grid_shapes(monkeypatch):
+    """The shape of every grid that evaluate_grid is asked for, in order."""
+    shapes = []
+    evaluate_grid = TrigPolynomial.evaluate_grid
+    monkeypatch.setattr(TrigPolynomial, "evaluate_grid",
+                        lambda f, shape: shapes.append(tuple(shape)) or evaluate_grid(f, shape))
+    return shapes
 
 
 class TestLpNorm:
@@ -225,9 +258,36 @@ class TestLpNorm:
             lp_norm(f, 1.5, QuadratureSpec(mode="even_power_exact"))
 
     def test_even_exact_capacity_when_forced(self):
+        # the exact p = 4 grid has 65536 points
         f = TrigPolynomial([[10000]], [1.0]) + TrigPolynomial([[0]], [1.0])
         with pytest.raises(CapacityError):
-            lp_norm(f, 4, QuadratureSpec(mode="even_power_exact", max_grid=1024))
+            lp_norm(f, 4, QuadratureSpec(mode="even_power_exact", max_points=1 << 15))
+
+    def test_thin_block_even_grid_ignores_axis_cap(self, grid_shapes):
+        # the block s = (11, 1): its exact p = 4 grid (8192, 8) is longer
+        # than max_grid on one axis but holds only 65536 points
+        rng = np.random.default_rng(4)
+        k1 = np.r_[-np.arange(1024, 2048), np.arange(1024, 2048)]
+        ks = np.stack(np.meshgrid(k1, [-1, 1], indexing="ij"), axis=-1).reshape(-1, 2)
+        f = TrigPolynomial(ks, rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks)))
+        assert QuadratureSpec().max_grid < 8192
+        auto = lp_norm(f, 4)
+        assert grid_shapes == [(8192, 8)]
+        forced = lp_norm(f, 4, QuadratureSpec(mode="even_power_exact"))
+        fine = float(np.mean(np.abs(f.evaluate_grid((16384, 16))) ** 4)) ** 0.25
+        assert forced == auto
+        assert forced == pytest.approx(fine, rel=1e-13)
+
+    def test_adaptive_start_leaves_room_to_refine(self, grid_shapes):
+        # degree 1024: the Nyquist size of |f|^2 is 4096, the axis cap, so
+        # the mean starts one doubling below it and still has a grid to
+        # compare with; |f| = |3 + e^{ix}| is smooth, so 2048 points suffice
+        f = TrigPolynomial([[1023], [1024]], [3.0, 1.0])
+        got = lp_norm(f, 1.5, QuadratureSpec(rel_tol=1e-6))
+        assert grid_shapes == [(2048,), (4096,)]
+        x = 2 * np.pi * np.arange(1 << 12) / (1 << 12)
+        want = float(np.mean(np.abs(3 + np.exp(1j * x)) ** 1.5)) ** (1 / 1.5)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_polynomial(self):
         assert lp_norm(TrigPolynomial.zero(3), 7.3) == 0.0
