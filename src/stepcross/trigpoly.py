@@ -10,8 +10,15 @@ polynomial, so a grid finer than its degree integrates it without error).
 Other exponents fall back to adaptive grid refinement from the Nyquist grid
 of |f|^2, stopped when two successive grids agree (an estimate, not a
 certified error); the sup norm refines a sampled maximum, which never exceeds
-the true sup.  Every grid is capped at ``max_points`` points; the per-axis
-cap ``max_grid`` limits only the two refinement loops.
+the true sup.  Both refinements evaluate the first doubled grid directly and
+read the start grid's estimate off its even-index subgrid, whose points are
+the start grid's.  Every grid is capped at ``max_points`` points; the
+per-axis cap ``max_grid`` limits only the two refinement loops.
+
+Grid values come from one folded spectrum, and only the lines along the last
+axis that hold a coefficient are transformed along it: the octave blocks and
+band pieces of a step hyperbolic cross leave most lines empty once a grid is
+large enough to hold them without aliasing.
 """
 
 from __future__ import annotations
@@ -207,7 +214,14 @@ class TrigPolynomial:
         """Values on the uniform grid x_m = 2 pi m / G, componentwise.
 
         Exact at the grid points regardless of aliasing: frequencies are
-        folded mod G before a single inverse FFT.
+        folded mod G.  Only the lines along the last axis that hold a folded
+        frequency are transformed along it; the other axes follow in the
+        order ``np.fft.ifftn`` uses, so the values are bit-identical to
+        ``ifftn`` of the dense folded spectrum times the grid size.  Peak
+        memory (``ru_maxrss`` at 2^24 points) is 48 B a point in 1-D: the
+        output plus 32 B of scratch that numpy's in-place FFT of one 2^24
+        line allocates.  In 2-D it is 16 B a point for the output plus 16 B
+        times the fraction of occupied lines (16 to 26 B measured).
         """
         grid_shape = tuple(int(g) for g in np.atleast_1d(np.asarray(grid_shape)))
         if len(grid_shape) == 1 and self.d > 1:
@@ -221,12 +235,32 @@ class TrigPolynomial:
             raise CapacityError(f"grid of {total} points exceeds the memory cap 2^26")
         if self.is_zero:
             return np.zeros(grid_shape, dtype=np.complex128)
+        side = grid_shape[-1]
         folded = [np.mod(self.ks[:, j], grid_shape[j]) for j in range(self.d)]
-        flat = np.ravel_multi_index(folded, grid_shape)
-        re = np.bincount(flat, weights=self.cs.real, minlength=total)
-        im = np.bincount(flat, weights=self.cs.imag, minlength=total)
-        spec = (re + 1j * im).reshape(grid_shape)
-        return np.fft.ifftn(spec) * total
+        if self.d > 1:
+            # the occupied lines: distinct folded prefixes over axes 0..d-2
+            lines, row = np.unique(np.ravel_multi_index(folded[:-1], grid_shape[:-1]),
+                                   return_inverse=True)
+        else:
+            lines, row = np.zeros(1, dtype=np.intp), 0
+        flat = row * side + folded[-1]
+        del folded, row
+        vals = np.empty((lines.size, side), dtype=np.complex128)
+        vals.real[...] = np.bincount(flat, weights=self.cs.real,
+                                     minlength=vals.size).reshape(vals.shape)
+        vals.imag[...] = np.bincount(flat, weights=self.cs.imag,
+                                     minlength=vals.size).reshape(vals.shape)
+        del flat
+        np.fft.ifft(vals, axis=-1, out=vals)
+        if lines.size < total // side:
+            dense = np.zeros(grid_shape, dtype=np.complex128)
+            dense.reshape(-1, side)[lines] = vals
+            vals = dense
+        vals = vals.reshape(grid_shape)
+        if self.d > 1:
+            np.fft.ifftn(vals, axes=tuple(range(self.d - 1)), out=vals)
+        vals *= total
+        return vals
 
 
 # -- random sampling -----------------------------------------------------
@@ -334,13 +368,23 @@ def _sup_start_grid(f: TrigPolynomial, quad: QuadratureSpec):
     return _fit_points(grid, quad)
 
 
+def _even_subgrid(coarse, fine):
+    """Index of the points of grid ``coarse`` inside its doubling ``fine``:
+    every second point on the axes that doubled."""
+    return tuple(slice(None, None, b // a) for a, b in zip(coarse, fine))
+
+
 def _adaptive_mean(f: TrigPolynomial, p: float, quad: QuadratureSpec) -> float:
-    # the Nyquist size of |f|^2, kept one doubling below the axis cap
-    grid = _fit_points([max(8, min(pow2ceil(2 * df + 1), quad.max_grid // 2))
-                        for df in f.degrees], quad)
-    prev = None
+    # the Nyquist size of |f|^2, kept one doubling below the axis cap; its
+    # estimate is read off the first doubling instead of a grid of its own
+    start = _fit_points([max(8, min(pow2ceil(2 * df + 1), quad.max_grid // 2))
+                         for df in f.degrees], quad)
+    grid, changed = _double_within_caps(start, quad)
+    vals = f.evaluate_grid(grid)
+    est = _abs_power_mean(vals, p) ** (1.0 / p)
+    prev = _abs_power_mean(vals[_even_subgrid(start, grid)], p) ** (1.0 / p) if changed else None
+    del vals
     while True:
-        est = _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
         if prev is not None and abs(est - prev) <= quad.rel_tol * max(est, 1e-300):
             return est
         grid, changed = _double_within_caps(grid, quad)
@@ -348,21 +392,25 @@ def _adaptive_mean(f: TrigPolynomial, p: float, quad: QuadratureSpec) -> float:
             raise QuadratureAccuracyError(
                 f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
                 f"within grid caps (last grid {grid})", best_estimate=est)
-        prev = est
+        prev, est = est, _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
 
 
 def _sup_estimate(f: TrigPolynomial, quad: QuadratureSpec) -> float:
-    grid = _sup_start_grid(f, quad)
-    est = float(np.max(np.abs(f.evaluate_grid(grid))))
+    start = _sup_start_grid(f, quad)
+    grid, _ = _double_within_caps(start, quad)
+    mag = np.abs(f.evaluate_grid(grid))
+    est = float(np.max(mag[_even_subgrid(start, grid)]))
+    new = float(np.max(mag))
+    del mag
     while True:
-        grid, changed = _double_within_caps(grid, quad)
-        if not changed:
-            return est
-        new = float(np.max(np.abs(f.evaluate_grid(grid))))
         done = abs(new - est) <= quad.rel_tol * max(new, 1e-300)
         est = max(est, new)
         if done:
             return est
+        grid, changed = _double_within_caps(grid, quad)
+        if not changed:
+            return est
+        new = float(np.max(np.abs(f.evaluate_grid(grid))))
 
 
 def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> float:
@@ -373,9 +421,13 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     and odd p start at the Nyquist grid of |f|^2 and double each axis (up to
     ``max_grid``, within ``max_points``) until the relative change is below
     ``rel_tol``; this stop rule is a heuristic, so the result is an estimate.
-    QuadratureAccuracyError (with the best estimate attached) is raised when
-    the caps are hit first.  p = inf refines a sampled maximum the same way
-    but never raises: the result is a lower estimate of the true sup.
+    The start grid's estimate is the mean over the even-index points of the
+    first doubled grid, so the start grid is evaluated on its own only when
+    no axis can double.  QuadratureAccuracyError (with the best estimate
+    attached) is raised when the caps are hit before ``rel_tol``, at once
+    when the start grid cannot double.  p = inf refines a sampled maximum
+    the same way but never raises: the result is the largest sampled value,
+    a lower estimate of the true sup.
     """
     quad = quad or QuadratureSpec()
     if f.is_zero:

@@ -179,15 +179,15 @@ class TestEvaluation:
     @given(st.data())
     def test_grid_matches_direct_property(self, data):
         # any grid side, including aliasing grids smaller than 2n + 1
-        d = data.draw(st.sampled_from((1, 2)), label="d")
+        d = data.draw(st.sampled_from((1, 2, 3)), label="d")
         n = data.draw(st.integers(1, 12), label="terms")
         ks = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=d, max_size=d),
                                 min_size=n, max_size=n), label="ks")
         cs = data.draw(st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False,
                                                    allow_infinity=False),
                                 min_size=n, max_size=n), label="cs")
-        grid = tuple(data.draw(st.lists(st.integers(1, 48), min_size=d, max_size=d),
-                               label="grid"))
+        grid = tuple(data.draw(st.lists(st.integers(1, 48 if d < 3 else 16),
+                                        min_size=d, max_size=d), label="grid"))
         f = TrigPolynomial(ks, cs)
         vals = f.evaluate_grid(grid)
         assert vals.shape == grid
@@ -196,6 +196,32 @@ class TestEvaluation:
         direct = f.evaluate(pts).reshape(grid)
         scale = max(1.0, float(np.sum(np.abs(f.cs))))
         np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12 * scale * max(grid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_grid_bit_identical_to_dense_ifftn(self, data):
+        # the line-pruned transform runs the same 1-D transforms as ifftn of
+        # the dense folded spectrum, so every value matches to the last bit
+        d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+        grid = tuple(data.draw(st.lists(st.integers(1, 24), min_size=d, max_size=d),
+                               label="grid"))
+        layout = data.draw(st.sampled_from(("random", "one_line", "all_lines")), label="layout")
+        n = data.draw(st.integers(1, 16), label="terms")
+        # degrees up to 60 against sides up to 24: most grids alias
+        ks = np.array(data.draw(st.lists(st.lists(st.integers(-60, 60), min_size=d, max_size=d),
+                                         min_size=n, max_size=n), label="ks"))
+        if layout == "one_line":
+            ks[:, :-1] = ks[0, :-1]
+        elif layout == "all_lines" and d > 1:
+            prefixes = np.indices(grid[:-1]).reshape(d - 1, -1).T
+            ks = np.concatenate([ks, np.c_[prefixes, np.full(len(prefixes), 3)]])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        f = TrigPolynomial(ks, rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks)))
+        total = math.prod(grid)
+        flat = np.ravel_multi_index([np.mod(f.ks[:, j], grid[j]) for j in range(d)], grid)
+        spec = (np.bincount(flat, weights=f.cs.real, minlength=total)
+                + 1j * np.bincount(flat, weights=f.cs.imag, minlength=total)).reshape(grid)
+        assert np.array_equal(f.evaluate_grid(grid), np.fft.ifftn(spec) * total)
 
     def test_grid_memory_cap(self):
         f = TrigPolynomial([[1, 1]], [1.0])
@@ -281,13 +307,51 @@ class TestLpNorm:
     def test_adaptive_start_leaves_room_to_refine(self, grid_shapes):
         # degree 1024: the Nyquist size of |f|^2 is 4096, the axis cap, so
         # the mean starts one doubling below it and still has a grid to
-        # compare with; |f| = |3 + e^{ix}| is smooth, so 2048 points suffice
+        # compare with; |f| = |3 + e^{ix}| is smooth, so 2048 points suffice.
+        # The 2048-point estimate is read off the even points of the 4096
+        # grid, so only that grid is evaluated.
         f = TrigPolynomial([[1023], [1024]], [3.0, 1.0])
         got = lp_norm(f, 1.5, QuadratureSpec(rel_tol=1e-6))
-        assert grid_shapes == [(2048,), (4096,)]
+        assert grid_shapes == [(4096,)]
         x = 2 * np.pi * np.arange(1 << 12) / (1 << 12)
         want = float(np.mean(np.abs(3 + np.exp(1j * x)) ** 1.5)) ** (1 / 1.5)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_one_doubling_is_the_fine_grid_mean(self, grid_shapes):
+        # start (8, 8), doubled to (16, 16); |f| stays in [2, 6], so the
+        # 8-point estimate already agrees to rel_tol
+        f = TrigPolynomial([[0, 0], [1, 0], [0, 1]], [4.0, 1.0, 1.0])
+        got = lp_norm(f, 1.5, QuadratureSpec(rel_tol=1e-3))
+        assert grid_shapes == [(16, 16)]
+        assert got == float(np.mean(np.abs(f.evaluate_grid((16, 16))) ** 1.5)) ** (1 / 1.5)
+
+    def test_sup_is_the_running_grid_maximum(self, grid_shapes):
+        rng = np.random.default_rng(12)
+        for trial in range(6):
+            d = 1 + trial % 2
+            ks = rng.integers(-9, 10, size=(15, d))
+            f = TrigPolynomial(ks, rng.standard_normal(15) + 1j * rng.standard_normal(15))
+            grid_shapes.clear()
+            got = lp_norm(f, INF, QuadratureSpec(rel_tol=1e-9, max_grid=256))
+            # the first grid is the first doubling; the result is the largest
+            # value sampled on any grid (a copy: evaluate_grid appends shapes)
+            maxima = [float(np.max(np.abs(f.evaluate_grid(g)))) for g in list(grid_shapes)]
+            assert got == max(maxima)
+
+    def test_no_doubling_raises_with_start_estimate(self, grid_shapes):
+        # max_grid = 8: the start grid (8,) cannot double, so it is the only
+        # grid, and its mean is the estimate carried by the error
+        f = TrigPolynomial(np.arange(1, 40).reshape(-1, 1), np.ones(39, dtype=complex))
+        quad = QuadratureSpec(max_grid=8)
+        with pytest.raises(QuadratureAccuracyError) as err:
+            lp_norm(f, 1.5, quad)
+        assert grid_shapes == [(8,)]
+        want = float(np.mean(np.abs(f.evaluate_grid((8,))) ** 1.5)) ** (1 / 1.5)
+        assert err.value.best_estimate == want
+        grid_shapes.clear()
+        got = lp_norm(f, INF, quad)
+        assert grid_shapes == [(8,)]
+        assert got == float(np.max(np.abs(f.evaluate_grid((8,)))))
 
     def test_zero_polynomial(self):
         assert lp_norm(TrigPolynomial.zero(3), 7.3) == 0.0
