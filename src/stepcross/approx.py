@@ -107,6 +107,20 @@ def theoretical_rate(omega: MajorantParams, regime: RateRegime, m: float) -> flo
     return float(m) ** (-regime.main_exponent) * math.log2(m) ** regime.log_exponent
 
 
+def _cross_mask(f: TrigPolynomial, omega: MajorantParams, n: float) -> np.ndarray:
+    """Per-coefficient membership of f's frequencies in the cross Q(N)."""
+    if not (math.isfinite(n) and n > 0):
+        raise ParameterError(f"cross size N must be finite and positive, got {n}")
+    if f.is_zero:
+        return np.zeros(0, dtype=bool)
+    if f.d != omega.d:
+        raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
+    octs = f.octaves()
+    ok = np.all(octs >= 1, axis=1)
+    ok[ok] = in_cross(omega, octs[ok], n)
+    return ok
+
+
 def project_q(f: TrigPolynomial, omega: MajorantParams, n: float) -> TrigPolynomial:
     """Keep exactly the coefficients whose frequencies lie in the cross Q(N).
 
@@ -114,22 +128,19 @@ def project_q(f: TrigPolynomial, omega: MajorantParams, n: float) -> TrigPolynom
     vector, so no enumeration of Q(N) takes place.  Frequencies with a zero
     coordinate belong to no octave box and are always dropped.
     """
-    if not (math.isfinite(n) and n > 0):
-        raise ParameterError(f"cross size N must be finite and positive, got {n}")
-    if f.is_zero:
-        return f
-    if f.d != omega.d:
-        raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
-    octs = f.octaves()
-    ok = np.all(octs >= 1, axis=1)
-    ok[ok] = in_cross(omega, octs[ok], n)
-    return f.restrict(ok)
+    return f.restrict(_cross_mask(f, omega, n))
 
 
 def approx_error(f: TrigPolynomial, omega: MajorantParams, n: float, q: float,
                  quad: QuadratureSpec | None = None) -> float:
-    """L_q distance from f to its cross projection."""
-    return lp_norm(f - project_q(f, omega, n), q, quad)
+    """L_q distance from f to its cross projection.
+
+    The residual f - project_q(f) is the restriction of f to the
+    coefficients outside Q(N) (frequencies with a zero coordinate
+    included), taken with the mask ``project_q`` uses, so nothing is
+    concatenated or re-sorted; it is bit-identical to the difference.
+    """
+    return lp_norm(f.restrict(~_cross_mask(f, omega, n)), q, quad)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernels import band_apply
 from .majorant import MajorantParams, omega_dyadic
-from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm
+from .trigpoly import QuadratureSpec, TrigPolynomial, _lex_less, lp_norm
 
 __all__ = [
     "BesovParams",
@@ -59,6 +59,8 @@ class BesovParams:
 
 def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
     """Increasing row indices of f per occupied octave, keys in lex order."""
+    if f.is_zero:
+        return {}
     octs = f.octaves()
     flat = np.flatnonzero(np.any(octs == 0, axis=1))
     if flat.size:
@@ -67,7 +69,7 @@ def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
             f"frequency {k} has a zero coordinate and belongs to no dyadic octave")
     order = np.lexsort(octs.T[::-1])
     grouped = octs[order]
-    starts = np.flatnonzero(np.any(np.diff(grouped, axis=0, prepend=-1) != 0, axis=1))
+    starts = np.flatnonzero(np.r_[True, _lex_less(grouped[:-1], grouped[1:])])
     return {tuple(int(v) for v in grouped[i]): rows
             for i, rows in zip(starts, np.split(order, starts[1:]))}
 

@@ -97,8 +97,10 @@ class SpectrumSet:
                 f"spectrum holds {self.size} frequencies, exceeding the cap {cap}")
         if not self.boxes:
             return np.empty((0, self.d), dtype=np.int64)
-        parts = [_box_points(s) for s in self.boxes]
-        pts = np.concatenate(parts, axis=0)
+        if len(self.boxes) == 1:
+            # meshgrid of increasing axes, "ij" order: already row-lex
+            return _box_points(self.boxes[0])
+        pts = np.concatenate([_box_points(s) for s in self.boxes], axis=0)
         order = np.lexsort(pts.T[::-1])
         return pts[order]
 

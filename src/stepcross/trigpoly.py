@@ -23,6 +23,7 @@ large enough to hold them without aliasing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,13 +52,28 @@ def pow2ceil(x: int) -> int:
     return 1 << (int(x) - 1).bit_length() if x > 1 else 1
 
 
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise strict lex order of two (n, d) integer arrays: a[i] < b[i].
+
+    Folds the columns from the last to the first, one vectorized step per
+    column; no row is sorted or gathered."""
+    less = a[:, -1] < b[:, -1]
+    for j in range(a.shape[1] - 2, -1, -1):
+        less = np.where(a[:, j] == b[:, j], less, a[:, j] < b[:, j])
+    return less
+
+
 class TrigPolynomial:
     """Immutable container: lex-sorted integer frequencies + coefficients.
 
     Canonical invariant: rows of ``ks`` strictly lex-increasing, no exact-zero
-    coefficient, read-only arrays.  The constructor sorts, merges duplicates
-    and prunes zeros; derived polynomials that keep the rows in order (sign,
+    coefficient, every coefficient finite, read-only arrays.  The constructor
+    checks the order of neighbouring rows first and sorts and merges
+    duplicates only when some pair is out of order; rows already in order
+    are copied, so the caller's arrays are never frozen.  Zeros are pruned
+    either way.  Derived polynomials that keep the rows in order (sign,
     scaling, translation, restriction, blocks, band pieces) only prune.
+    Non-finite coefficients or scalars raise ``ParameterError``.
     """
 
     __slots__ = ("ks", "cs")
@@ -75,16 +91,21 @@ class TrigPolynomial:
                 f"{ks.shape[0]} frequencies vs {cs.shape[0]} coefficients")
         if ks.shape[1] < 1:
             raise ParameterError("dimension must be at least 1")
-        if ks.shape[0]:
+        if np.all(_lex_less(ks[:-1], ks[1:])):
+            ks, cs = ks.copy(), cs.copy()
+        else:
             order = np.lexsort(ks.T[::-1])
             ks, cs = ks[order], cs[order]
-            starts = np.flatnonzero(np.r_[True, np.any(ks[1:] != ks[:-1], axis=1)])
+            starts = np.flatnonzero(np.r_[True, _lex_less(ks[:-1], ks[1:])])
             ks, cs = ks[starts], np.add.reduceat(cs, starts)
         self._prune_and_freeze(ks, cs)
 
     def _prune_and_freeze(self, ks, cs):
+        if not np.all(np.isfinite(cs)):
+            raise ParameterError("coefficients must be finite")
         keep = cs != 0
-        ks, cs = ks[keep], cs[keep]
+        if not np.all(keep):
+            ks, cs = ks[keep], cs[keep]
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "cs", cs)
         ks.setflags(write=False)
@@ -131,6 +152,8 @@ class TrigPolynomial:
         """The sum of the d-dimensional polynomials ``parts``, canonicalized
         once instead of once per pairwise addition."""
         parts = [cls.zero(d), *parts]
+        if any(f.d != d for f in parts):
+            raise ParameterError("dimension mismatch")
         return cls(np.concatenate([f.ks for f in parts]), np.concatenate([f.cs for f in parts]))
 
     def coefficient(self, k) -> complex:
@@ -170,7 +193,10 @@ class TrigPolynomial:
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPolynomial):
             return NotImplemented
-        return TrigPolynomial._canonical(self.ks, self.cs * complex(scalar))
+        scalar = complex(scalar)
+        if not cmath.isfinite(scalar):
+            raise ParameterError(f"scalar must be finite, got {scalar}")
+        return TrigPolynomial._canonical(self.ks, self.cs * scalar)
 
     __rmul__ = __mul__
 
@@ -223,7 +249,11 @@ class TrigPolynomial:
         line allocates.  In 2-D it is 16 B a point for the output plus 16 B
         times the fraction of occupied lines (16 to 26 B measured).
         """
-        grid_shape = tuple(int(g) for g in np.atleast_1d(np.asarray(grid_shape)))
+        sides = np.atleast_1d(np.asarray(grid_shape)).tolist()
+        if not all(isinstance(g, (int, float)) and math.isfinite(g) and g == int(g)
+                   for g in sides):
+            raise ParameterError(f"grid sides must be integers, got {grid_shape}")
+        grid_shape = tuple(int(g) for g in sides)
         if len(grid_shape) == 1 and self.d > 1:
             grid_shape = grid_shape * self.d
         if len(grid_shape) != self.d:

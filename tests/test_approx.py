@@ -16,7 +16,7 @@ from stepcross.besov import BesovParams
 from stepcross.errors import ParameterError, UnsupportedRegimeError
 from stepcross.indexsets import chi, theta
 from stepcross.majorant import MajorantParams
-from stepcross.trigpoly import QuadratureSpec, TrigPolynomial
+from stepcross.trigpoly import QuadratureSpec, TrigPolynomial, lp_norm
 
 INF = math.inf
 
@@ -72,6 +72,33 @@ class TestProjection:
             project_q(f, P(1, 1.0, 0.0), n)
         with pytest.raises(ParameterError, match="finite and positive"):
             project_q(TrigPolynomial.zero(1), P(1, 1.0, 0.0), n)
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2, 4, INF])
+    def test_error_is_norm_of_difference(self, q):
+        # the residual is a restriction of f; it must equal f - project_q(f)
+        # to the bit, rows with a zero coordinate included
+        quad = QuadratureSpec(rel_tol=1e-4)
+        for d, omega, n in ((1, P(1, 1.0, 0.0), 16), (2, P(2, 1.5, (0.5, 0.25)), 2 ** 6),
+                            (3, P(3, 1.0, (0.0, 0.0, 0.0)), 2 ** 5)):
+            rng = np.random.default_rng(d)
+            ks = rng.integers(-12, 13, size=(60, d))
+            ks[:5, 0] = 0
+            f = TrigPolynomial(ks, rng.standard_normal(60) + 1j * rng.standard_normal(60))
+            assert np.any(f.ks == 0)
+            diff = f - project_q(f, omega, n)
+            assert not diff.is_zero
+            assert approx_error(f, omega, n, q, quad) == lp_norm(diff, q, quad)
+
+    def test_error_input_checks_unchanged(self):
+        omega = P(2, 1.0, (0.0, 0.0))
+        # the zero function: no dimension check, zero error, N still checked
+        assert approx_error(TrigPolynomial.zero(3), omega, 8, 2) == 0.0
+        with pytest.raises(ParameterError, match="finite and positive"):
+            approx_error(TrigPolynomial.zero(2), omega, 0, 2)
+        with pytest.raises(ParameterError, match="dimension 1, majorant expects 2"):
+            approx_error(TrigPolynomial([[40]], [1.0]), omega, 8, 2)
+        with pytest.raises(ParameterError, match="p >= 1"):
+            approx_error(TrigPolynomial([[40, 1]], [1.0]), omega, 8, 0.5)
 
 
 # (majorant, N, a box with w(s) = N exactly)

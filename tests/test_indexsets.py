@@ -110,6 +110,13 @@ class TestRho:
         pts = rho((1, 2)).materialize()
         as_tuples = [tuple(row) for row in pts.tolist()]
         assert as_tuples == sorted(set(as_tuples))
+        # strictly increasing rows, for one box and for several in 1 to 3 dimensions
+        for spec in (rho((3, 1, 2)), rho((4,)), SpectrumSet.from_boxes(1, [(2,), (4,), (1,)]),
+                     SpectrumSet.from_boxes(2, [(3, 1), (1, 2), (2, 2)]),
+                     SpectrumSet.from_boxes(3, [(1, 2, 1), (2, 1, 1), (1, 1, 3)])):
+            rows = [tuple(row) for row in spec.materialize().tolist()]
+            assert len(rows) == spec.size
+            assert all(a < b for a, b in zip(rows, rows[1:])), spec
 
     def test_materialize_cap(self):
         with pytest.raises(CapacityError):

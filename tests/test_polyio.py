@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepcross.errors import ParameterError
 from stepcross.indexsets import SpectrumSet
@@ -24,6 +25,24 @@ def test_round_trip_exact():
     assert np.array_equal(g.ks, f.ks)
     # repr round-trip keeps every bit
     assert np.array_equal(g.cs, f.cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_round_trip_bit_exact_property(data):
+    # any int64 frequency and any finite float, subnormals and -0.0 included
+    d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+    limit = (1 << 63) - 1
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-limit, limit)] * d),
+                              max_size=12, unique=True), label="ks")
+    parts = st.floats(allow_nan=False, allow_infinity=False)
+    cs = [complex(re, im) for re, im in data.draw(
+        st.lists(st.tuples(parts, parts), min_size=len(rows), max_size=len(rows)), label="cs")]
+    f = TrigPolynomial(np.array(rows, dtype=np.int64).reshape(-1, d), cs)
+    g = loads_polynomial(dumps_polynomial(f))
+    assert g.d == d
+    assert np.array_equal(g.ks, f.ks)
+    assert np.array_equal(g.cs.view(np.int64), f.cs.view(np.int64))
 
 
 def test_file_and_stream_round_trip(tmp_path):

@@ -94,14 +94,83 @@ class TestContainer:
         f = TrigPolynomial([1, 2, 3], [1.0, 1.0, 1.0])
         assert f.d == 1 and f.n_terms == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("cs", [[math.nan], [INF], [complex(1.0, -INF)],
+                                    [1e308, 1e308]])
+    def test_non_finite_coefficients_rejected(self, cs):
+        # the last case is finite on input and overflows when the rows merge
+        with pytest.raises(ParameterError, match="finite"):
+            TrigPolynomial([[1]] * len(cs), cs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scalar", [math.nan, INF, complex(0.0, -INF), 1e300])
+    def test_non_finite_scalar_rejected(self, scalar):
+        f = TrigPolynomial([[1], [2]], [1e10, 1.0])
+        with pytest.raises(ParameterError, match="finite"):
+            f * scalar
+        if scalar != 1e300:
+            with pytest.raises(ParameterError, match="finite"):
+                scalar * TrigPolynomial.zero(1)
+
+    def test_sum_of_dimension_mismatch(self):
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            TrigPolynomial.sum_of(2, [one_plus_exp()])
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            TrigPolynomial.sum_of(1, iter([one_plus_exp(), TrigPolynomial.zero(3)]))
+
+
+def lexsort_reference(ks, cs):
+    """The canonical rows written out the long way: lexsort, merge equal
+    neighbours by summation in sorted order, prune zeros."""
+    if not len(cs):
+        return ks, cs
+    order = np.lexsort(ks.T[::-1])
+    ks, cs = ks[order], cs[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ks[1:] != ks[:-1], axis=1)])
+    ks, cs = ks[starts], np.add.reduceat(cs, starts)
+    keep = cs != 0
+    return ks[keep], cs[keep]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_constructor_matches_lexsort_reference(data):
+    # strictly increasing rows take the copy-only path; everything else sorts
+    d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+    n = data.draw(st.integers(0, 40), label="rows")
+    layout = data.draw(st.sampled_from(("strict", "sorted", "reversed", "random")),
+                       label="layout")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ks = rng.integers(-3, 4, size=(n, d))  # a small range, so rows repeat
+    if layout == "strict":
+        ks = np.unique(ks, axis=0).reshape(-1, d)
+    elif layout != "random":
+        ks = ks[np.lexsort(ks.T[::-1])][::1 if layout == "sorted" else -1]
+    ks = np.ascontiguousarray(ks, dtype=np.int64)
+    n = len(ks)
+    # exact zeros, and integer parts whose duplicates can cancel exactly
+    cs = (rng.standard_normal(n) * rng.integers(0, 2, n)
+          + 1j * rng.integers(-1, 2, n)).astype(np.complex128)
+    want_ks, want_cs = lexsort_reference(ks.copy(), cs.copy())
+    ks_in, cs_in = ks.copy(), cs.copy()
+    arg = ks_in[:, 0] if d == 1 and data.draw(st.booleans(), label="flat") else ks_in
+    f = TrigPolynomial(arg, cs_in)
+    assert_canonical(f)
+    assert np.array_equal(f.ks, want_ks.reshape(-1, d))
+    assert np.array_equal(f.cs.view(np.int64), want_cs.view(np.int64))
+    assert ks_in.flags.writeable and cs_in.flags.writeable
+    assert not np.shares_memory(f.ks, ks_in) and not np.shares_memory(f.cs, cs_in)
+    assert np.array_equal(ks_in, ks) and np.array_equal(cs_in, cs)
+
 
 def assert_canonical(f):
-    """Rows strictly lex-increasing, no zero coefficient, read-only arrays."""
+    """Rows strictly lex-increasing, no zero or non-finite coefficient,
+    read-only arrays."""
     assert f.ks.dtype == np.int64 and f.cs.dtype == np.complex128
     assert f.ks.ndim == 2 and f.ks.shape[0] == f.cs.shape[0]
     for a, b in zip(f.ks[:-1].tolist(), f.ks[1:].tolist()):
         assert a < b
-    assert np.all(f.cs != 0)
+    assert np.all(f.cs != 0) and np.all(np.isfinite(f.cs))
     assert not f.ks.flags.writeable and not f.cs.flags.writeable
 
 
@@ -222,6 +291,16 @@ class TestEvaluation:
         spec = (np.bincount(flat, weights=f.cs.real, minlength=total)
                 + 1j * np.bincount(flat, weights=f.cs.imag, minlength=total)).reshape(grid)
         assert np.array_equal(f.evaluate_grid(grid), np.fft.ifftn(spec) * total)
+
+    @pytest.mark.parametrize("grid", [(8.7,), (8, 2.5), (math.nan,), (INF, 8), ("8",)])
+    def test_grid_rejects_non_integral_sides(self, grid):
+        f = TrigPolynomial([[1, 1]], [1.0])
+        with pytest.raises(ParameterError, match="integers"):
+            f.evaluate_grid(grid)
+
+    def test_grid_accepts_integral_floats(self):
+        f = TrigPolynomial([[1, 3]], [1.0])
+        assert np.array_equal(f.evaluate_grid((8.0, 4.0)), f.evaluate_grid((8, 4)))
 
     def test_grid_memory_cap(self):
         f = TrigPolynomial([[1, 1]], [1.0])
