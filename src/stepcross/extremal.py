@@ -43,16 +43,13 @@ __all__ = [
 class WitnessConfig:
     """Inputs shared by the witness families.
 
-    ``c5``, ``c6``, ``c7`` scale the normalized families g3, g5, g7; the
-    defaults keep them at unit size so experiments report raw ratios.
+    The normalized families g3, g5, g7 take the constants C5, C6, C7 of
+    their unit-ball scalings as 1, so experiments report raw ratios.
     """
 
     omega: MajorantParams
     bp: BesovParams
     n: float
-    c5: float = 1.0
-    c6: float = 1.0
-    c7: float = 1.0
 
     def __post_init__(self):
         if not (self.n > 1):
@@ -89,11 +86,11 @@ def g2_shell_modes(cfg: WitnessConfig) -> TrigPolynomial:
 
 
 def g3_shell_normalized(cfg: WitnessConfig) -> TrigPolynomial:
-    """g2 scaled by C5 N^{-1} (log2 N)^{-(d-1)/theta}: unit-ball size for the
+    """g2 scaled by N^{-1} (log2 N)^{-(d-1)/theta}: unit-ball size for the
     mean-square regime."""
     d, th = cfg.omega.d, cfg.bp.theta
     expo = 0.0 if th == math.inf else -(d - 1) / th
-    return g2_shell_modes(cfg) * (cfg.c5 / cfg.n * cfg.log_n ** expo)
+    return g2_shell_modes(cfg) * (1.0 / cfg.n * cfg.log_n ** expo)
 
 
 @dataclass(frozen=True)
@@ -144,13 +141,13 @@ def g4_packet_cloud(cfg: WitnessConfig) -> TrigPolynomial:
 
 
 def g5_packet_normalized(cfg: WitnessConfig) -> TrigPolynomial:
-    """g4 scaled by C6 N^{-1} (log2 N)^{(d-1)(1/p - 1 - 1/theta)}: unit-ball
+    """g4 scaled by N^{-1} (log2 N)^{(d-1)(1/p - 1 - 1/theta)}: unit-ball
     size for the small-integrability regime."""
     d, p, th = cfg.omega.d, cfg.bp.p, cfg.bp.theta
     inv_p = 0.0 if p == math.inf else 1.0 / p
     inv_t = 0.0 if th == math.inf else 1.0 / th
     expo = (d - 1) * (inv_p - 1.0 - inv_t)
-    return g4_packet_cloud(cfg) * (cfg.c6 / cfg.n * cfg.log_n ** expo)
+    return g4_packet_cloud(cfg) * (1.0 / cfg.n * cfg.log_n ** expo)
 
 
 def g6_packet_stack(cfg: WitnessConfig) -> TrigPolynomial:
@@ -171,14 +168,14 @@ def g6_peak_value(cfg: WitnessConfig) -> float:
 
 
 def g7_stack_normalized(cfg: WitnessConfig) -> TrigPolynomial:
-    """g6 scaled by C7 N^{-1} (N^{1/r} (log2 N)^{-sum(b)/r})^{1/p - 1}
+    """g6 scaled by N^{-1} (N^{1/r} (log2 N)^{-sum(b)/r})^{1/p - 1}
     (log2 N)^{-(d-1)/theta}: unit-ball size for the uniform regime."""
     om, p, th = cfg.omega, cfg.bp.p, cfg.bp.theta
     if p == math.inf:
         raise ParameterError("the uniform-regime witness needs p < inf")
     inv_t = 0.0 if th == math.inf else 1.0 / th
     cross_size = cfg.n ** (1.0 / om.r) * cfg.log_n ** (-sum(om.b) / om.r)
-    scale = cfg.c7 / cfg.n * cross_size ** (1.0 / p - 1.0) * cfg.log_n ** (-(om.d - 1) * inv_t)
+    scale = 1.0 / cfg.n * cross_size ** (1.0 / p - 1.0) * cfg.log_n ** (-(om.d - 1) * inv_t)
     return g6_packet_stack(cfg) * scale
 
 

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 MATERIALIZE_CAP = 1 << 22
+# tail_sum's truncation target, relative to the value
+TAIL_REL_BOUND = 1e-6
 ENUMERATION_CAP = 5_000_000
 TIE_RTOL = 1e-12
 EPS = math.ulp(1.0)
@@ -90,11 +92,12 @@ class SpectrumSet:
     def __len__(self) -> int:
         return self.size
 
-    def materialize(self, cap: int = MATERIALIZE_CAP) -> np.ndarray:
-        """All member frequencies as an (n, d) int64 array in row-lex order."""
-        if self.size > cap:
+    def materialize(self) -> np.ndarray:
+        """All member frequencies as an (n, d) int64 array in row-lex order,
+        at most ``MATERIALIZE_CAP`` of them."""
+        if self.size > MATERIALIZE_CAP:
             raise CapacityError(
-                f"spectrum holds {self.size} frequencies, exceeding the cap {cap}")
+                f"spectrum holds {self.size} frequencies, exceeding the cap {MATERIALIZE_CAP}")
         if not self.boxes:
             return np.empty((0, self.d), dtype=np.int64)
         if len(self.boxes) == 1:
@@ -315,8 +318,7 @@ def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> fl
     return _check_n(n)
 
 
-def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
-             rel_bound: float = 1e-6) -> TailSumResult:
+def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSumResult:
     """Sum of w(s)^{-p} 2^{beta p |s|_1} over all boxes s outside chi(N),
     with a bound that covers truncation and rounding.  Only positive terms
     are added.
@@ -335,8 +337,8 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
     Each suffix is summed up to s_max; past it the term ratio is at most
     2^{-a} (a = (r-beta)p) when b_j >= 0 and at most 2^{-a/2} once s exceeds
     2|b_j| p / (a ln 2), so a geometric series bounds the remainder.  s_max
-    doubles until every remainder is at most rel_bound/(2d) of the smallest
-    suffix it pads; every term has at most d suffix factors, so the
+    doubles until every remainder is at most TAIL_REL_BOUND/(2d) of the
+    smallest suffix it pads; every term has at most d suffix factors, so the
     truncation is at most value ((1 + worst)^d - 1).  ``bound`` adds to it a
     rounding allowance of a few ulps per summed term and per factor, and the
     true value lies in [value, value + bound].
@@ -358,7 +360,7 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float,
             pre.append(np.concatenate([[0.0], np.cumsum(g)]))
             suf.append(np.append(np.cumsum(g[::-1])[::-1], 0.0))
             worst = max(worst, float(g[-1] * ratio / (1 - ratio) / suf[-1][t]))
-        if worst <= rel_bound / (2 * d):
+        if worst <= TAIL_REL_BOUND / (2 * d):
             break
         if s_max > 10 ** 6:
             raise CapacityError("tail sum failed to certify below the requested bound")

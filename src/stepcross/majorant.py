@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ParameterError
 
+# the audit probes t = 2^-m for m = 0..PROBE_DEPTH
+PROBE_DEPTH = 20
+
 __all__ = [
     "MajorantParams",
     "omega_eval",
@@ -135,7 +138,6 @@ class MajorantAuditReport:
     params: MajorantParams
     alpha: float
     gamma: float
-    probe_depth: int
     monotone_ok: bool
     scaling_ok: bool
     s_condition_ok: bool
@@ -159,8 +161,8 @@ def _pair_constants(values: np.ndarray):
     return c1, c2
 
 
-def verify_majorant_axioms(params: MajorantParams, alpha: float, gamma: float,
-                           probe_depth: int = 20) -> MajorantAuditReport:
+def verify_majorant_axioms(params: MajorantParams, alpha: float,
+                           gamma: float) -> MajorantAuditReport:
     """Audit monotonicity, the scaled-growth inequality, and both almost-
     monotonicity conditions on dyadic probe grids.
 
@@ -175,8 +177,6 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float, gamma: float,
         raise ParameterError("alpha must be positive")
     if not (0 < gamma < params.l):
         raise ParameterError(f"gamma must lie in (0, l={params.l})")
-    if probe_depth < 2:
-        raise ParameterError("probe_depth must be >= 2")
 
     violations: list[str] = []
     grow_tol = 1.0 + 1e-9
@@ -184,8 +184,8 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float, gamma: float,
     # Condition 2: each factor nondecreasing in t on the dyadic grid.
     monotone_ok = True
     for j, bj in enumerate(params.b):
-        vals = [_factor(params.r, bj, 2.0 ** -m) for m in range(probe_depth + 1)]
-        for m in range(probe_depth):
+        vals = [_factor(params.r, bj, 2.0 ** -m) for m in range(PROBE_DEPTH + 1)]
+        for m in range(PROBE_DEPTH):
             if vals[m + 1] > vals[m] * (1 + 1e-12):
                 monotone_ok = False
                 violations.append(
@@ -194,10 +194,8 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float, gamma: float,
 
     # Condition 3: omega(m*t) <= (prod m_j)^l * omega(t) for integer multipliers.
     scaling_ok = True
-    mults = [1, 2, 3, 4, 5, 8, 16, 32, 64, 2 ** probe_depth]
-    mults = sorted({m for m in mults if m <= 2 ** probe_depth})
-    depths = [1, 2, 3, 5, 8, probe_depth]
-    depths = sorted({m for m in depths if m <= probe_depth})
+    mults = (1, 2, 3, 4, 5, 8, 16, 32, 64, 2 ** PROBE_DEPTH)
+    depths = (1, 2, 3, 5, 8, PROBE_DEPTH)
     for j in range(params.d):
         for m_exp in depths:
             t = np.full(params.d, 0.5)
@@ -218,9 +216,9 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float, gamma: float,
     sl_ok = True
     c1_all = 1.0
     c2_all = 1.0
-    half = max(2, probe_depth // 2)
+    half = PROBE_DEPTH // 2
     for j, bj in enumerate(params.b):
-        m_grid = np.arange(probe_depth + 1, dtype=float)
+        m_grid = np.arange(PROBE_DEPTH + 1, dtype=float)
         factors = np.array([_factor(params.r, bj, 2.0 ** -m) for m in m_grid])
         psi_s = factors * 2.0 ** (alpha * m_grid)
         psi_l = factors * 2.0 ** (gamma * m_grid)
@@ -240,7 +238,7 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float, gamma: float,
                 f"(S_l): coordinate {j}, C2 shrinks with depth ({c2_half:.6g} -> {c2_full:.6g})")
 
     return MajorantAuditReport(
-        params=params, alpha=alpha, gamma=gamma, probe_depth=probe_depth,
+        params=params, alpha=alpha, gamma=gamma,
         monotone_ok=monotone_ok, scaling_ok=scaling_ok,
         s_condition_ok=s_ok, sl_condition_ok=sl_ok,
         c1=c1_all, c2=c2_all, violations=violations)

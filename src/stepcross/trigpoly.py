@@ -4,16 +4,15 @@ A polynomial is a finite sum f(x) = sum_k c_k e^{i(k, x)} over frequencies
 k in Z^d.  Norms use the normalized measure (2 pi)^{-d} dx on [0, 2 pi)^d,
 so every basis exponential has unit norm in every L_p.
 
-Norm evaluation is exact where exactness is available: Parseval for p = 2,
-and full-degree sampling for even integer p (|f|^p is itself a trigonometric
-polynomial, so a grid finer than its degree integrates it without error).
-Other exponents fall back to adaptive grid refinement from the Nyquist grid
-of |f|^2, stopped when two successive grids agree (an estimate, not a
-certified error); the sup norm refines a sampled maximum, which never exceeds
-the true sup.  Both refinements evaluate the first doubled grid directly and
-read the start grid's estimate off its even-index subgrid, whose points are
-the start grid's.  Every grid is capped at ``max_points`` points; the
-per-axis cap ``max_grid`` limits only the two refinement loops.
+``lp_norm`` picks its method from p alone, exact where exactness is
+available: Parseval for p = 2, and full-degree sampling for even integer p
+(|f|^p is itself a trigonometric polynomial, so a grid finer than its degree
+integrates it without error).  Other exponents fall back to adaptive grid
+refinement from the Nyquist grid of |f|^2, stopped when two successive grids
+agree (an estimate, not a certified error); the sup norm refines a sampled
+maximum, which never exceeds the true sup.  One loop, ``_refine``, does
+both.  Every grid holds at most ``MAX_GRID_POINTS`` points; the per-axis
+cap ``QuadratureSpec.max_grid`` limits only the refinement.
 
 Grid values come from one folded spectrum, and only the lines along the last
 axis that hold a coefficient are transformed along it: the octave blocks and
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 DIRECT_EVAL_CHUNK_OPS = 1 << 22
+# the size of the largest grid evaluate_grid builds, exact or refined
+MAX_GRID_POINTS = 1 << 26
 
 
 def pow2ceil(x: int) -> int:
@@ -261,8 +263,8 @@ class TrigPolynomial:
         if any(g < 1 for g in grid_shape):
             raise ParameterError("grid sides must be positive")
         total = math.prod(grid_shape)
-        if total > (1 << 26):
-            raise CapacityError(f"grid of {total} points exceeds the memory cap 2^26")
+        if total > MAX_GRID_POINTS:
+            raise CapacityError(f"grid of {total} points exceeds the cap {MAX_GRID_POINTS}")
         if self.is_zero:
             return np.zeros(grid_shape, dtype=np.complex128)
         side = grid_shape[-1]
@@ -326,76 +328,48 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for norm evaluation.
-
-    mode 'auto' picks Parseval for p=2, exact sampling for even integer p
-    when the exact grid has at most ``max_points`` points, and adaptive
-    refinement otherwise.  Forcing a specific mode raises ParameterError when
-    it does not apply.  ``max_points`` caps the size of every grid.
-    ``max_grid`` (a power of two) caps each axis of the refined grids only:
-    the adaptive mean starts at most one doubling below it, and the sup
-    estimate refines up to it; exact even-p grids ignore it.
+    """Controls for norm evaluation: ``rel_tol`` stops the grid refinement
+    of fractional, odd and infinite p, and ``max_grid`` (a power of two)
+    caps each axis of the refined grids.  The adaptive mean starts at most
+    one doubling below ``max_grid`` and the sup estimate refines up to it;
+    exact even-p grids ignore it.  Every grid, exact or refined, holds at
+    most ``MAX_GRID_POINTS`` points.
     """
 
-    mode: str = "auto"
     rel_tol: float = 1e-6
     max_grid: int = 4096
-    max_points: int = 1 << 26
 
     def __post_init__(self):
-        if self.mode not in ("auto", "exact_parseval", "even_power_exact", "adaptive_grid"):
-            raise ParameterError(f"unknown quadrature mode {self.mode!r}")
-        if not (0 < self.rel_tol < 1):
-            raise ParameterError("rel_tol must lie in (0, 1)")
-        if self.max_grid < 8 or self.max_grid & (self.max_grid - 1):
-            raise ParameterError("max_grid must be a power of two, at least 8")
-        if self.max_points < 8:
-            raise ParameterError("max_points too small")
+        if not isinstance(self.rel_tol, numbers.Real) or not (0 < self.rel_tol < 1):
+            raise ParameterError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
+        g = self.max_grid
+        if not isinstance(g, numbers.Integral) or g < 8 or g & (g - 1):
+            raise ParameterError(f"max_grid must be a power of two, at least 8, got {g!r}")
 
 
 def _abs_power_mean(values: np.ndarray, p: float) -> float:
     if p == int(p) and int(p) % 2 == 0:
-        half = int(p) // 2
-        mag2 = values.real ** 2 + values.imag ** 2
-        return float(np.mean(mag2 ** half))
+        return float(np.mean((values.real ** 2 + values.imag ** 2) ** (int(p) // 2)))
     return float(np.mean(np.abs(values) ** p))
 
 
-def _even_exact_grid(f: TrigPolynomial, p: int, quad: QuadratureSpec):
-    grid = tuple(max(8, pow2ceil(p * df + 1)) for df in f.degrees)
-    return grid if math.prod(grid) <= quad.max_points else None
-
-
 def _double_within_caps(grid, quad: QuadratureSpec):
+    """Double each axis in turn while it stays within both caps; returns
+    (the new grid, whether any axis doubled)."""
     new = list(grid)
-    changed = False
     for j in range(len(new)):
-        if new[j] * 2 <= quad.max_grid:
-            trial = new.copy()
-            trial[j] = new[j] * 2
-            if math.prod(trial) <= quad.max_points:
-                new[j] *= 2
-                changed = True
-    return (tuple(new), changed)
+        if new[j] * 2 <= quad.max_grid and math.prod(new) * 2 <= MAX_GRID_POINTS:
+            new[j] *= 2
+    return tuple(new), new != list(grid)
 
 
-def _fit_points(grid, quad: QuadratureSpec):
+def _fit_points(grid):
     grid = list(grid)
-    while math.prod(grid) > quad.max_points:
+    while math.prod(grid) > MAX_GRID_POINTS:
         grid[int(np.argmax(grid))] //= 2
         if max(grid) < 8:
-            raise CapacityError("cannot fit a starting grid under max_points")
+            raise CapacityError("cannot fit a starting grid under MAX_GRID_POINTS")
     return tuple(grid)
-
-
-def _sup_start_grid(f: TrigPolynomial, quad: QuadratureSpec):
-    grid = []
-    for df in f.degrees:
-        g = pow2ceil(4 * (2 * df + 1))
-        if g > quad.max_grid:
-            g = max(8, quad.max_grid // 4)
-        grid.append(max(8, g))
-    return _fit_points(grid, quad)
 
 
 def _even_subgrid(coarse, fine):
@@ -404,87 +378,78 @@ def _even_subgrid(coarse, fine):
     return tuple(slice(None, None, b // a) for a, b in zip(coarse, fine))
 
 
-def _adaptive_mean(f: TrigPolynomial, p: float, quad: QuadratureSpec) -> float:
-    # the Nyquist size of |f|^2, kept one doubling below the axis cap; its
-    # estimate is read off the first doubling instead of a grid of its own
-    start = _fit_points([max(8, min(pow2ceil(2 * df + 1), quad.max_grid // 2))
-                         for df in f.degrees], quad)
-    grid, changed = _double_within_caps(start, quad)
+def _refine(f: TrigPolynomial, start, reduce, quad: QuadratureSpec):
+    """Double the grid ``start`` within the caps until ``reduce`` of two
+    successive grids agrees to ``rel_tol``; returns (estimate, converged).
+
+    The start grid's estimate is read off the even-index points of the first
+    doubling, so the start grid is evaluated on its own only when no axis
+    can double; then nothing is compared and the result is not converged."""
+    grid, doubled = _double_within_caps(start, quad)
     vals = f.evaluate_grid(grid)
-    est = _abs_power_mean(vals, p) ** (1.0 / p)
-    prev = _abs_power_mean(vals[_even_subgrid(start, grid)], p) ** (1.0 / p) if changed else None
+    prev = reduce(vals[_even_subgrid(start, grid)]) if doubled else None
+    est = reduce(vals)
     del vals
     while True:
         if prev is not None and abs(est - prev) <= quad.rel_tol * max(est, 1e-300):
-            return est
-        grid, changed = _double_within_caps(grid, quad)
-        if not changed:
-            raise QuadratureAccuracyError(
-                f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
-                f"within grid caps (last grid {grid})", best_estimate=est)
-        prev, est = est, _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
-
-
-def _sup_estimate(f: TrigPolynomial, quad: QuadratureSpec) -> float:
-    start = _sup_start_grid(f, quad)
-    grid, _ = _double_within_caps(start, quad)
-    mag = np.abs(f.evaluate_grid(grid))
-    est = float(np.max(mag[_even_subgrid(start, grid)]))
-    new = float(np.max(mag))
-    del mag
-    while True:
-        done = abs(new - est) <= quad.rel_tol * max(new, 1e-300)
-        est = max(est, new)
-        if done:
-            return est
-        grid, changed = _double_within_caps(grid, quad)
-        if not changed:
-            return est
-        new = float(np.max(np.abs(f.evaluate_grid(grid))))
+            return est, True
+        grid, doubled = _double_within_caps(grid, quad)
+        if not doubled:
+            return est, False
+        prev, est = est, reduce(f.evaluate_grid(grid))
 
 
 def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> float:
-    """L_p norm under the normalized measure, 1 <= p <= inf.
+    """L_p norm under the normalized measure, 1 <= p <= inf; p alone picks
+    the method.
 
-    p = 2 is exact (Parseval).  Even integer p is exact when a grid finer
-    than the degree of |f|^p has at most ``max_points`` points.  Fractional
-    and odd p start at the Nyquist grid of |f|^2 and double each axis (up to
-    ``max_grid``, within ``max_points``) until the relative change is below
-    ``rel_tol``; this stop rule is a heuristic, so the result is an estimate.
-    The start grid's estimate is the mean over the even-index points of the
-    first doubled grid, so the start grid is evaluated on its own only when
-    no axis can double.  QuadratureAccuracyError (with the best estimate
-    attached) is raised when the caps are hit before ``rel_tol``, at once
-    when the start grid cannot double.  p = inf refines a sampled maximum
-    the same way but never raises: the result is the largest sampled value,
-    a lower estimate of the true sup.
+    p = 2 is exact (Parseval), and so is even integer p when a grid finer
+    than the degree of |f|^p holds at most ``MAX_GRID_POINTS`` points.
+    Other p start at the Nyquist grid of |f|^2 (at most ``max_grid // 2``
+    per axis) and double each axis within the caps until the relative change
+    is below ``rel_tol``: a heuristic stop rule, so the result is an
+    estimate.  QuadratureAccuracyError (carrying the best estimate) is raised
+    when the caps are hit first.  Once a degree reaches ``max_grid / 4`` the
+    start grid is below the Nyquist size of |f|^2, and a sparse spectrum can
+    alias alike on successive grids: ``1 + e^{i 4096 x}`` at p = 1.5 gives
+    2.0, where the true norm is 1.3530.  p = inf refines a sampled maximum
+    from four times the Nyquist grid and never raises; the result is the
+    largest value sampled on any grid, a lower estimate of the true sup.
     """
     quad = quad or QuadratureSpec()
-    if f.is_zero:
-        return 0.0
     if p != math.inf and not (p >= 1):
         raise ParameterError(f"need p >= 1 or p = inf, got {p}")
-
-    if quad.mode == "exact_parseval" and p != 2:
-        raise ParameterError("exact_parseval applies only to p = 2")
-    if quad.mode == "even_power_exact" and not (p != math.inf and p == int(p) and int(p) % 2 == 0):
-        raise ParameterError("even_power_exact applies only to even integer p")
-
-    if p == 2 and quad.mode in ("auto", "exact_parseval"):
+    if f.is_zero:
+        return 0.0
+    if p == 2:
         return float(np.sqrt(np.sum(f.cs.real ** 2 + f.cs.imag ** 2)))
 
     if p == math.inf:
-        return _sup_estimate(f, quad)
+        seen = 0.0
 
-    if p == int(p) and int(p) % 2 == 0 and quad.mode in ("auto", "even_power_exact"):
-        grid = _even_exact_grid(f, int(p), quad)
-        if grid is not None:
+        def running_max(vals):
+            nonlocal seen
+            seen = max(seen, float(np.max(np.abs(vals))))
+            return seen
+
+        start = [pow2ceil(4 * (2 * df + 1)) for df in f.degrees]
+        start = [max(8, g if g <= quad.max_grid else quad.max_grid // 4) for g in start]
+        return _refine(f, _fit_points(start), running_max, quad)[0]
+
+    if p == int(p) and int(p) % 2 == 0:
+        grid = tuple(max(8, pow2ceil(int(p) * df + 1)) for df in f.degrees)
+        if math.prod(grid) <= MAX_GRID_POINTS:
             return _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
-        if quad.mode == "even_power_exact":
-            raise CapacityError(
-                f"exact grid for p={p} with degrees {f.degrees} exceeds the caps")
 
-    return _adaptive_mean(f, p, quad)
+    # the Nyquist size of |f|^2, kept one doubling below the axis cap
+    start = _fit_points([max(8, min(pow2ceil(2 * df + 1), quad.max_grid // 2))
+                         for df in f.degrees])
+    est, converged = _refine(f, start, lambda vals: _abs_power_mean(vals, p) ** (1.0 / p), quad)
+    if not converged:
+        raise QuadratureAccuracyError(
+            f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
+            f"within max_grid={quad.max_grid}", best_estimate=est)
+    return est
 
 
 # -- Nikolskii inequality -------------------------------------------------

@@ -99,6 +99,9 @@ class TestProjection:
             approx_error(TrigPolynomial([[40]], [1.0]), omega, 8, 2)
         with pytest.raises(ParameterError, match="p >= 1"):
             approx_error(TrigPolynomial([[40, 1]], [1.0]), omega, 8, 0.5)
+        # an invalid q is refused for the zero function too
+        with pytest.raises(ParameterError, match="p >= 1"):
+            approx_error(TrigPolynomial.zero(2), omega, 8, 0.5)
 
 
 # (majorant, N, a box with w(s) = N exactly)

@@ -94,6 +94,17 @@ def test_norms_non_finite_poly_exit_2(tmp_path, capsys):
     assert "lp," not in out
 
 
+@pytest.mark.parametrize("p", ["0.5", "nan", "2,0.5"])
+def test_norms_invalid_exponent_on_zero_poly_exit_2(tmp_path, capsys, p):
+    # a file holding only the dimension line is the zero polynomial
+    path = tmp_path / "zero.txt"
+    path.write_text("d=1\n")
+    code, out, err = run_cli(capsys, "norms", "--poly", str(path), "--p", p)
+    assert code == 2
+    assert "need p >= 1" in err
+    assert "lp," not in out
+
+
 def exit_code(capsys, *argv):
     """main's exit code, also when argparse exits; any other exception
     propagates and fails the test."""

@@ -54,11 +54,6 @@ class TestShellModes:
         expected = (1.0 / n) * 12.0 ** -0.5
         assert abs(g.cs[0]) == pytest.approx(expected, rel=1e-13)
 
-    def test_c5_scales_linearly(self):
-        a = g3_shell_normalized(cfg_for(d=2, b=(0.0, 0.0), n=2 ** 12, c5=3.0))
-        b = g3_shell_normalized(cfg_for(d=2, b=(0.0, 0.0), n=2 ** 12))
-        np.testing.assert_allclose(a.cs, 3.0 * b.cs)
-
     def test_empty_shell_rejected(self):
         with pytest.raises(ParameterError):
             g2_shell_modes(cfg_for(d=3, b=(0.0, 0.0, 0.0), r=1.5, n=2.0))

@@ -120,7 +120,7 @@ class TestRho:
 
     def test_materialize_cap(self):
         with pytest.raises(CapacityError):
-            rho((12, 12)).materialize(cap=1000)
+            rho((12, 12)).materialize()
 
     def test_rejects_zero_index(self):
         with pytest.raises(ParameterError):

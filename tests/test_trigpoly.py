@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stepcross import trigpoly
 from stepcross.errors import CapacityError, ParameterError, QuadratureAccuracyError
 from stepcross.indexsets import q_set, rho
 from stepcross.majorant import MajorantParams
@@ -306,6 +308,9 @@ class TestEvaluation:
         f = TrigPolynomial([[1, 1]], [1.0])
         with pytest.raises(CapacityError):
             f.evaluate_grid((1 << 14, 1 << 14))
+        # the same point cap on one axis, refused before any array is allocated
+        with pytest.raises(CapacityError):
+            one_plus_exp().evaluate_grid((1 << 27,))
 
 
 @pytest.fixture
@@ -350,23 +355,19 @@ class TestLpNorm:
     def test_accuracy_error_carries_estimate(self):
         f = TrigPolynomial(np.arange(1, 40).reshape(-1, 1),
                            np.ones(39, dtype=complex))
-        quad = QuadratureSpec(rel_tol=1e-13, max_grid=16, max_points=16)
+        quad = QuadratureSpec(rel_tol=1e-13, max_grid=16)
         with pytest.raises(QuadratureAccuracyError) as err:
             lp_norm(f, 1, quad)
         assert err.value.best_estimate > 0
 
-    def test_forced_mode_validation(self):
-        f = one_plus_exp()
-        with pytest.raises(ParameterError):
-            lp_norm(f, 4, QuadratureSpec(mode="exact_parseval"))
-        with pytest.raises(ParameterError):
-            lp_norm(f, 1.5, QuadratureSpec(mode="even_power_exact"))
-
-    def test_even_exact_capacity_when_forced(self):
-        # the exact p = 4 grid has 65536 points
-        f = TrigPolynomial([[10000]], [1.0]) + TrigPolynomial([[0]], [1.0])
-        with pytest.raises(CapacityError):
-            lp_norm(f, 4, QuadratureSpec(mode="even_power_exact", max_points=1 << 15))
+    def test_even_grid_past_the_point_cap_falls_back(self, grid_shapes, monkeypatch):
+        # the exact p = 4 grid has 65536 points, over a cap of 2^15, so the
+        # adaptive mean runs: start (2048,), read off its doubling (4096,)
+        monkeypatch.setattr(trigpoly, "MAX_GRID_POINTS", 1 << 15)
+        f = TrigPolynomial([[0], [10000]], [1.0, 1.0])
+        got = lp_norm(f, 4)
+        assert grid_shapes == [(4096,)]
+        assert got == 6.0 ** 0.25
 
     def test_thin_block_even_grid_ignores_axis_cap(self, grid_shapes):
         # the block s = (11, 1): its exact p = 4 grid (8192, 8) is longer
@@ -376,12 +377,10 @@ class TestLpNorm:
         ks = np.stack(np.meshgrid(k1, [-1, 1], indexing="ij"), axis=-1).reshape(-1, 2)
         f = TrigPolynomial(ks, rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks)))
         assert QuadratureSpec().max_grid < 8192
-        auto = lp_norm(f, 4)
+        got = lp_norm(f, 4)
         assert grid_shapes == [(8192, 8)]
-        forced = lp_norm(f, 4, QuadratureSpec(mode="even_power_exact"))
         fine = float(np.mean(np.abs(f.evaluate_grid((16384, 16))) ** 4)) ** 0.25
-        assert forced == auto
-        assert forced == pytest.approx(fine, rel=1e-13)
+        assert got == pytest.approx(fine, rel=1e-13)
 
     def test_adaptive_start_leaves_room_to_refine(self, grid_shapes):
         # degree 1024: the Nyquist size of |f|^2 is 4096, the axis cap, so
@@ -434,6 +433,12 @@ class TestLpNorm:
 
     def test_zero_polynomial(self):
         assert lp_norm(TrigPolynomial.zero(3), 7.3) == 0.0
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan, -INF])
+    def test_invalid_p_rejected_before_the_zero_shortcut(self, p):
+        for f in (TrigPolynomial.zero(1), one_plus_exp()):
+            with pytest.raises(ParameterError):
+                lp_norm(f, p)
 
     def test_monotone_in_p(self):
         f = random_in_spectrum(rho((3, 2)), seed=9)
@@ -497,3 +502,18 @@ def test_pow2ceil():
     assert [pow2ceil(x) for x in (1, 2, 3, 4, 5, 17)] == [1, 2, 4, 4, 8, 32]
     with pytest.raises(ParameterError):
         pow2ceil(0)
+
+
+class TestQuadratureSpec:
+    def test_two_options(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "max_grid"]
+        assert QuadratureSpec(rel_tol=1e-3, max_grid=16384).max_grid == 16384
+        assert QuadratureSpec(max_grid=np.int64(64)).max_grid == 64
+
+    @pytest.mark.parametrize("kw", [
+        dict(max_grid=8.5), dict(max_grid=16.0), dict(max_grid="16"), dict(max_grid=12),
+        dict(max_grid=4), dict(rel_tol="1e-3"), dict(rel_tol=0.0), dict(rel_tol=1.0),
+        dict(rel_tol=math.nan), dict(rel_tol=None)])
+    def test_rejects_bad_input(self, kw):
+        with pytest.raises(ParameterError):
+            QuadratureSpec(**kw)
