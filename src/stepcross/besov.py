@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernels import band_apply
 from .majorant import MajorantParams, omega_dyadic
-from .trigpoly import QuadratureSpec, TrigPolynomial, _lex_less, lp_norm
+from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm
 
 __all__ = [
     "BesovParams",
@@ -62,16 +62,19 @@ def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
     if f.is_zero:
         return {}
     octs = f.octaves()
-    flat = np.flatnonzero(np.any(octs == 0, axis=1))
-    if flat.size:
-        k = tuple(int(v) for v in f.ks[flat[0]])
+    if not all(octs[:, j].all() for j in range(f.d)):
+        k = tuple(int(v) for v in f.ks[np.flatnonzero(np.any(octs == 0, axis=1))[0]])
         raise ParameterError(
             f"frequency {k} has a zero coordinate and belongs to no dyadic octave")
     order = np.lexsort(octs.T[::-1])
-    grouped = octs[order]
-    starts = np.flatnonzero(np.r_[True, _lex_less(grouped[:-1], grouped[1:])])
-    return {tuple(int(v) for v in grouped[i]): rows
-            for i, rows in zip(starts, np.split(order, starts[1:]))}
+    # a group starts wherever some sorted column changes
+    cols = [octs[order, j] for j in range(f.d)]
+    new = cols[0][1:] != cols[0][:-1]
+    for col in cols[1:]:
+        new |= col[1:] != col[:-1]
+    starts = np.flatnonzero(np.r_[True, new])
+    keys = zip(*(col[starts].tolist() for col in cols))
+    return dict(zip(keys, np.split(order, starts[1:])))
 
 
 def dyadic_blocks(f: TrigPolynomial) -> dict[tuple[int, ...], TrigPolynomial]:

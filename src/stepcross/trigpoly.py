@@ -14,6 +14,11 @@ maximum, which never exceeds the true sup.  One loop, ``_refine``, does
 both.  Every grid holds at most ``MAX_GRID_POINTS`` points; the per-axis
 cap ``QuadratureSpec.max_grid`` limits only the refinement.
 
+Grids are sized from the spread w_j = max k_j - min k_j of each axis, not
+from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
+degree w_j on axis j, and a one-sided spectrum such as a packet around
+3 * 2^{s_j - 2} needs no more points than the same packet centred at 0.
+
 Grid values come from one folded spectrum, and only the lines along the last
 axis that hold a coefficient are transformed along it: the octave blocks and
 band pieces of a step hyperbolic cross leave most lines empty once a grid is
@@ -330,8 +335,9 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
 class QuadratureSpec:
     """Controls for norm evaluation: ``rel_tol`` stops the grid refinement
     of fractional, odd and infinite p, and ``max_grid`` (a power of two)
-    caps each axis of the refined grids.  The adaptive mean starts at most
-    one doubling below ``max_grid`` and the sup estimate refines up to it;
+    caps each axis of the refined grids.  The adaptive mean starts at the
+    Nyquist grid of |f|^2 on each axis's frequency spread, at most one
+    doubling below ``max_grid``, and the sup estimate refines up to it;
     exact even-p grids ignore it.  Every grid, exact or refined, holds at
     most ``MAX_GRID_POINTS`` points.
     """
@@ -403,13 +409,17 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     """L_p norm under the normalized measure, 1 <= p <= inf; p alone picks
     the method.
 
-    p = 2 is exact (Parseval), and so is even integer p when a grid finer
-    than the degree of |f|^p holds at most ``MAX_GRID_POINTS`` points.
-    Other p start at the Nyquist grid of |f|^2 (at most ``max_grid // 2``
+    Every grid is sized from the spread w_j = max k_j - min k_j of axis j,
+    the degree of |f|^2 there.  p = 2 is exact (Parseval), and so is even
+    integer p when the grid ``pow2ceil((p/2) w_j + 1)``, finer than the
+    degree of |f|^p, holds at most ``MAX_GRID_POINTS`` points.  Such a grid
+    can be large: ``1 + e^{i 2^24 x}`` at p = 4 is exact on 2^26 points,
+    about 3 GiB in 1-D (see ``evaluate_grid``).  Other p start at the
+    Nyquist grid ``pow2ceil(w_j + 1)`` of |f|^2 (at most ``max_grid // 2``
     per axis) and double each axis within the caps until the relative change
     is below ``rel_tol``: a heuristic stop rule, so the result is an
     estimate.  QuadratureAccuracyError (carrying the best estimate) is raised
-    when the caps are hit first.  Once a degree reaches ``max_grid / 4`` the
+    when the caps are hit first.  Once a spread reaches ``max_grid / 2`` the
     start grid is below the Nyquist size of |f|^2, and a sparse spectrum can
     alias alike on successive grids: ``1 + e^{i 4096 x}`` at p = 1.5 gives
     2.0, where the true norm is 1.3530.  p = inf refines a sampled maximum
@@ -423,6 +433,7 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
         return 0.0
     if p == 2:
         return float(np.sqrt(np.sum(f.cs.real ** 2 + f.cs.imag ** 2)))
+    spread = [int(w) for w in np.ptp(f.ks, axis=0)]  # the degrees of |f|^2
 
     if p == math.inf:
         seen = 0.0
@@ -432,18 +443,17 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
             seen = max(seen, float(np.max(np.abs(vals))))
             return seen
 
-        start = [pow2ceil(4 * (2 * df + 1)) for df in f.degrees]
+        start = [pow2ceil(4 * (w + 1)) for w in spread]
         start = [max(8, g if g <= quad.max_grid else quad.max_grid // 4) for g in start]
         return _refine(f, _fit_points(start), running_max, quad)[0]
 
     if p == int(p) and int(p) % 2 == 0:
-        grid = tuple(max(8, pow2ceil(int(p) * df + 1)) for df in f.degrees)
+        grid = tuple(max(8, pow2ceil(int(p) // 2 * w + 1)) for w in spread)
         if math.prod(grid) <= MAX_GRID_POINTS:
             return _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
 
     # the Nyquist size of |f|^2, kept one doubling below the axis cap
-    start = _fit_points([max(8, min(pow2ceil(2 * df + 1), quad.max_grid // 2))
-                         for df in f.degrees])
+    start = _fit_points([max(8, min(pow2ceil(w + 1), quad.max_grid // 2)) for w in spread])
     est, converged = _refine(f, start, lambda vals: _abs_power_mean(vals, p) ** (1.0 / p), quad)
     if not converged:
         raise QuadratureAccuracyError(

@@ -43,6 +43,10 @@ class TestBlocks:
         f = TrigPolynomial([[0, 3], [1, 1]], [1.0, 1.0])
         with pytest.raises(ParameterError, match=r"\(0, 3\)"):
             dyadic_blocks(f)
+        # the first such row, whichever column holds the zero
+        f = TrigPolynomial([[1, 1], [2, 0], [3, 0]], [1.0, 1.0, 1.0])
+        with pytest.raises(ParameterError, match=r"\(2, 0\)"):
+            dyadic_blocks(f)
 
 
 class TestBlockNorm:

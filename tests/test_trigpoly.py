@@ -216,6 +216,43 @@ class TestDerivedKeepInvariant:
             assert g.is_zero and g.d == d
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_algebra_properties(data):
+    # Gaussian-integer coefficients on a small frequency range, so parts
+    # overlap, sums are exact and duplicates can cancel to zero
+    from stepcross.besov import dyadic_blocks
+    from stepcross.kernels import band_apply
+
+    d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    sizes = data.draw(st.lists(st.integers(0, 12), max_size=5), label="sizes")
+    parts = [TrigPolynomial(rng.integers(-6, 7, size=(n, d)),
+                            rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n))
+             for n in sizes]
+    pairwise = TrigPolynomial.zero(d)
+    for part in parts:
+        pairwise = pairwise + part
+    f = TrigPolynomial.sum_of(d, parts)
+    assert_canonical(f)
+    assert np.array_equal(f.ks, pairwise.ks) and np.array_equal(f.cs, pairwise.cs)
+
+    c = data.draw(st.sampled_from((0, 1, -1, 0.5 - 2j, 5e-324)), label="c")
+    x0 = rng.uniform(-4, 4, d)
+    mask = rng.random(f.n_terms) < 0.5
+    s = tuple(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d), label="s"))
+    derived = [-f, c * f, f * c, f.translate(x0), f.restrict(mask), band_apply(f, s)]
+    inside = f.restrict(np.all(f.ks != 0, axis=1))
+    blocks = dyadic_blocks(inside)
+    derived += blocks.values()
+    for g in derived:
+        assert_canonical(g)
+        assert g.d == d
+    # the blocks partition the rows of f off the coordinate hyperplanes
+    whole = TrigPolynomial.sum_of(d, blocks.values())
+    assert np.array_equal(whole.ks, inside.ks) and np.array_equal(whole.cs, inside.cs)
+
+
 class TestEvaluation:
     def test_single_mode(self):
         f = TrigPolynomial([[3]], [2.0])
@@ -361,10 +398,11 @@ class TestLpNorm:
         assert err.value.best_estimate > 0
 
     def test_even_grid_past_the_point_cap_falls_back(self, grid_shapes, monkeypatch):
-        # the exact p = 4 grid has 65536 points, over a cap of 2^15, so the
-        # adaptive mean runs: start (2048,), read off its doubling (4096,)
+        # spread 20000: the exact p = 4 grid has 65536 points, over a cap of
+        # 2^15, so the adaptive mean runs: start (2048,), read off its
+        # doubling (4096,)
         monkeypatch.setattr(trigpoly, "MAX_GRID_POINTS", 1 << 15)
-        f = TrigPolynomial([[0], [10000]], [1.0, 1.0])
+        f = TrigPolynomial([[0], [20000]], [1.0, 1.0])
         got = lp_norm(f, 4)
         assert grid_shapes == [(4096,)]
         assert got == 6.0 ** 0.25
@@ -383,12 +421,13 @@ class TestLpNorm:
         assert got == pytest.approx(fine, rel=1e-13)
 
     def test_adaptive_start_leaves_room_to_refine(self, grid_shapes):
-        # degree 1024: the Nyquist size of |f|^2 is 4096, the axis cap, so
-        # the mean starts one doubling below it and still has a grid to
-        # compare with; |f| = |3 + e^{ix}| is smooth, so 2048 points suffice.
-        # The 2048-point estimate is read off the even points of the 4096
-        # grid, so only that grid is evaluated.
-        f = TrigPolynomial([[1023], [1024]], [3.0, 1.0])
+        # spread 2047: the Nyquist grid of |f|^2 has 2048 points, one
+        # doubling below the axis cap, so the mean still has a grid to
+        # compare with; |f| = |3 + e^{i 2047 x}| is smooth, so 2048 points
+        # suffice.  The 2048-point estimate is read off the even points of
+        # the 4096 grid, so only that grid is evaluated; 2047 is odd, so on
+        # it |f| takes the values of |3 + e^{iy}| on the same grid.
+        f = TrigPolynomial([[-1023], [1024]], [3.0, 1.0])
         got = lp_norm(f, 1.5, QuadratureSpec(rel_tol=1e-6))
         assert grid_shapes == [(4096,)]
         x = 2 * np.pi * np.arange(1 << 12) / (1 << 12)
@@ -445,6 +484,99 @@ class TestLpNorm:
         norms = [lp_norm(f, p, QuadratureSpec(rel_tol=1e-7)) for p in (1, 1.5, 2, 4)]
         norms.append(lp_norm(f, INF))
         assert all(norms[i] <= norms[i + 1] * (1 + 1e-6) for i in range(len(norms) - 1))
+
+
+def degree_rule_first_grid(f, p, quad):
+    """The first grid lp_norm evaluated when it sized grids from the largest
+    |k_j| (as if |f|^2 had degree 2 n_j) instead of the spread, and per axis
+    whether the sup start overflowed max_grid and fell back to max_grid // 4."""
+    n = f.degrees
+    fell_back = [False] * f.d
+    if p == INF:
+        start = [pow2ceil(4 * (2 * nj + 1)) for nj in n]
+        fell_back = [g > quad.max_grid for g in start]
+        start = [max(8, g if g <= quad.max_grid else quad.max_grid // 4) for g in start]
+    else:
+        if p == int(p) and int(p) % 2 == 0:
+            grid = tuple(max(8, pow2ceil(int(p) * nj + 1)) for nj in n)
+            if math.prod(grid) <= trigpoly.MAX_GRID_POINTS:
+                return grid, fell_back
+        start = [max(8, min(pow2ceil(2 * nj + 1), quad.max_grid // 2)) for nj in n]
+    return trigpoly._double_within_caps(trigpoly._fit_points(start), quad)[0], fell_back
+
+
+class TestSpreadSizing:
+    """Grids are sized from the spread max k_j - min k_j of each axis, which
+    modulation leaves alone."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 4, INF])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_modulation_invariance(self, grid_shapes, d, p, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        ks = rng.integers(-20, 21, size=(n, d))
+        cs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        m = rng.integers(-5000, 5001, size=d)
+        f, g = TrigPolynomial(ks, cs), TrigPolynomial(ks + m, cs)
+        want = lp_norm(f, p)
+        f_shapes = list(grid_shapes)
+        grid_shapes.clear()
+        got = lp_norm(g, p)
+        assert grid_shapes == f_shapes
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("s", [(11,), (9, 7)])
+    def test_one_sided_even_grid_is_exact(self, grid_shapes, s, p):
+        # a modulated Fejer packet: frequencies in [2^{s_j - 1}, 2^{s_j}],
+        # spread 2^{s_j - 1}, so the exact grid is half the max-|k| one
+        from stepcross.kernels import k_packet
+
+        f = k_packet(s)
+        spread = np.ptp(f.ks, axis=0)
+        grid = tuple(pow2ceil(p // 2 * int(w) + 1) for w in spread)
+        got = lp_norm(f, p)
+        assert grid_shapes == [grid]
+        fine = float(np.mean(np.abs(f.evaluate_grid(tuple(2 * g for g in grid))) ** p)) ** (1 / p)
+        assert got == pytest.approx(fine, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_no_grid_larger_than_the_degree_rule(self, data):
+        # Frequencies stay small enough that the max-|k| exact grid also
+        # fits under MAX_GRID_POINTS, so both rules pick the same method;
+        # past that cap the spread rule can take an exact grid where the
+        # degree rule fell back to refinement.  Where the degree rule's sup
+        # start overflowed max_grid and fell back to max_grid // 4, the
+        # spread rule's start may fit and be larger, but never past max_grid.
+        d = data.draw(st.sampled_from((1, 2)), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        lo = data.draw(st.integers(-200, 200), label="lo")
+        hi = data.draw(st.integers(lo, 200), label="hi")
+        n = data.draw(st.integers(1, 6), label="terms")
+        f = TrigPolynomial(rng.integers(lo, hi + 1, size=(n, d)),
+                           rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        p = data.draw(st.sampled_from((1, 1.5, 3, 4, 6, INF)), label="p")
+        quad = QuadratureSpec(rel_tol=1e-3,
+                              max_grid=data.draw(st.sampled_from((8, 64, 512, 4096)),
+                                                 label="max_grid"))
+        shapes = []
+        evaluate_grid = TrigPolynomial.evaluate_grid
+
+        def record(g, shape):
+            shapes.append(tuple(shape))
+            return evaluate_grid(g, shape)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TrigPolynomial, "evaluate_grid", record)
+            try:
+                lp_norm(f, p, quad)
+            except QuadratureAccuracyError:
+                pass
+        old, fell_back = degree_rule_first_grid(f, p, quad)
+        bound = [quad.max_grid if fb else g for g, fb in zip(old, fell_back)]
+        assert all(a <= b for a, b in zip(shapes[0], bound)), (shapes[0], old)
 
 
 class TestRandom:
