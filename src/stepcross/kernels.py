@@ -11,9 +11,12 @@ is exact in floating point).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ParameterError
+from . import indexsets
+from .errors import CapacityError, ParameterError
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -35,6 +38,14 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
+def _check_terms(n_terms: int) -> None:
+    """Refuse a kernel of more than ``indexsets.MATERIALIZE_CAP`` terms,
+    counted in Python ints before any array is allocated."""
+    if n_terms > indexsets.MATERIALIZE_CAP:
+        raise CapacityError(
+            f"kernel holds {n_terms} terms, exceeding the cap {indexsets.MATERIALIZE_CAP}")
+
+
 def fejer_coefficient(n: int, k) -> np.ndarray:
     """Fejer spectrum: 1 - |k|/(n+1) on |k| <= n, zero beyond."""
     n = _check_order(n)
@@ -54,6 +65,7 @@ def vp_coefficient(n: int, k) -> np.ndarray:
 def fejer(n: int) -> TrigPolynomial:
     """The univariate Fejer kernel of order n; K_n(0) = n + 1, L1 norm 1."""
     n = _check_order(n)
+    _check_terms(2 * n + 1)
     ks = np.arange(-n, n + 1, dtype=np.int64)
     return TrigPolynomial(ks.reshape(-1, 1), fejer_coefficient(n, ks))
 
@@ -61,6 +73,7 @@ def fejer(n: int) -> TrigPolynomial:
 def vallee_poussin(n: int) -> TrigPolynomial:
     """The univariate de la Vallee Poussin kernel of order n; V_n(0) = 3n."""
     n = _check_order(n)
+    _check_terms(4 * n - 1)
     ks = np.arange(-(2 * n - 1), 2 * n, dtype=np.int64)
     return TrigPolynomial(ks.reshape(-1, 1), vp_coefficient(n, ks))
 
@@ -98,6 +111,9 @@ def band_kernel(s) -> TrigPolynomial:
     """The band multiplier materialized as a polynomial (tensor product of
     univariate profiles)."""
     s = _check_octave_index(s)
+    # nonzero profile values per axis: |k| <= 3 for s_j = 1, else
+    # 2^{s_j - 1} < |k| <= 2^{s_j + 1} - 1
+    _check_terms(math.prod(7 if sj == 1 else 3 * 2 ** sj - 2 for sj in s))
     axes = []
     for sj in s:
         hi = 2 ** (sj + 1) - 1
@@ -138,7 +154,6 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
     """
     s = _check_octave_index(s)
     d = len(s)
-    anchor = ks_vector(s)
     if u is None:
         if any(sj < 2 for sj in s):
             raise ParameterError(
@@ -151,6 +166,8 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
             us = [int(x) for x in u]
         if len(us) != d or any(x < 1 for x in us):
             raise ParameterError(f"packet width must be a positive integer per coordinate, got {u!r}")
+    _check_terms(math.prod(2 * uj + 1 for uj in us))
+    anchor = ks_vector(s)
     if x_center is None:
         x_center = np.zeros(d)
     x_center = np.asarray(x_center, dtype=float).reshape(-1)

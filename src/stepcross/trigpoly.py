@@ -11,8 +11,10 @@ integrates it without error).  Other exponents fall back to adaptive grid
 refinement from the Nyquist grid of |f|^2, stopped when two successive grids
 agree (an estimate, not a certified error); the sup norm refines a sampled
 maximum, which never exceeds the true sup.  One loop, ``_refine``, does
-both.  Every grid holds at most ``MAX_GRID_POINTS`` points; the per-axis
-cap ``QuadratureSpec.max_grid`` limits only the refinement.
+both.  Every grid holds at most ``MAX_GRID_POINTS`` points, and a refined
+grid at most ``MAX_GRID_SIDE`` points per axis.  The refined starts stay at
+most ``MAX_GRID_SIDE / 4`` per axis, so from a spread of 2048 on, the
+adaptive mean starts below the Nyquist grid of |f|^2 and can alias.
 
 Grids are sized from the spread w_j = max k_j - min k_j of each axis, not
 from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
@@ -50,13 +52,17 @@ __all__ = [
 DIRECT_EVAL_CHUNK_OPS = 1 << 22
 # the size of the largest grid evaluate_grid builds, exact or refined
 MAX_GRID_POINTS = 1 << 26
+# the longest axis of a refined grid; exact even-p grids obey MAX_GRID_POINTS only
+MAX_GRID_SIDE = 1 << 13
 
 
 def pow2ceil(x: int) -> int:
-    """Smallest power of two >= x (x >= 1)."""
+    """Smallest power of two >= x (x an integer >= 1)."""
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x)):
+        raise ParameterError(f"pow2ceil needs an integer, got {x!r}")
     if x < 1:
         raise ParameterError(f"pow2ceil needs x >= 1, got {x}")
-    return 1 << (int(x) - 1).bit_length() if x > 1 else 1
+    return 1 << (int(x) - 1).bit_length()
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -334,23 +340,19 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for norm evaluation: ``rel_tol`` stops the grid refinement
-    of fractional, odd and infinite p, and ``max_grid`` (a power of two)
-    caps each axis of the refined grids.  The adaptive mean starts at the
-    Nyquist grid of |f|^2 on each axis's frequency spread, at most one
-    doubling below ``max_grid``, and the sup estimate refines up to it;
-    exact even-p grids ignore it.  Every grid, exact or refined, holds at
-    most ``MAX_GRID_POINTS`` points.
+    of fractional, odd and infinite p.  The refined grids start from each
+    axis's frequency spread, at most ``MAX_GRID_SIDE / 4`` points per axis,
+    and double up to ``MAX_GRID_SIDE``; from a spread of 2048 on, the
+    adaptive mean therefore starts below the Nyquist grid of |f|^2.  Exact
+    even-p grids ignore the side cap.  Every grid, exact or refined, holds
+    at most ``MAX_GRID_POINTS`` points.
     """
 
     rel_tol: float = 1e-6
-    max_grid: int = 4096
 
     def __post_init__(self):
         if not isinstance(self.rel_tol, numbers.Real) or not (0 < self.rel_tol < 1):
             raise ParameterError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        g = self.max_grid
-        if not isinstance(g, numbers.Integral) or g < 8 or g & (g - 1):
-            raise ParameterError(f"max_grid must be a power of two, at least 8, got {g!r}")
 
 
 def _abs_power_mean(values: np.ndarray, p: float) -> float:
@@ -359,14 +361,21 @@ def _abs_power_mean(values: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(values) ** p))
 
 
-def _double_within_caps(grid, quad: QuadratureSpec):
+def _double_within_caps(grid):
     """Double each axis in turn while it stays within both caps; returns
     (the new grid, whether any axis doubled)."""
     new = list(grid)
     for j in range(len(new)):
-        if new[j] * 2 <= quad.max_grid and math.prod(new) * 2 <= MAX_GRID_POINTS:
+        if new[j] * 2 <= MAX_GRID_SIDE and math.prod(new) * 2 <= MAX_GRID_POINTS:
             new[j] *= 2
     return tuple(new), new != list(grid)
+
+
+def _start_grid(spread, m):
+    """The first refined grid: ``m`` times the Nyquist size of |f|^2 on each
+    axis, kept within ``MAX_GRID_SIDE // 4`` and ``MAX_GRID_POINTS``."""
+    return _fit_points([max(8, min(pow2ceil(m * (w + 1)), MAX_GRID_SIDE // 4))
+                        for w in spread])
 
 
 def _fit_points(grid):
@@ -391,7 +400,7 @@ def _refine(f: TrigPolynomial, start, reduce, quad: QuadratureSpec):
     The start grid's estimate is read off the even-index points of the first
     doubling, so the start grid is evaluated on its own only when no axis
     can double; then nothing is compared and the result is not converged."""
-    grid, doubled = _double_within_caps(start, quad)
+    grid, doubled = _double_within_caps(start)
     vals = f.evaluate_grid(grid)
     prev = reduce(vals[_even_subgrid(start, grid)]) if doubled else None
     est = reduce(vals)
@@ -399,7 +408,7 @@ def _refine(f: TrigPolynomial, start, reduce, quad: QuadratureSpec):
     while True:
         if prev is not None and abs(est - prev) <= quad.rel_tol * max(est, 1e-300):
             return est, True
-        grid, doubled = _double_within_caps(grid, quad)
+        grid, doubled = _double_within_caps(grid)
         if not doubled:
             return est, False
         prev, est = est, reduce(f.evaluate_grid(grid))
@@ -415,15 +424,16 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     degree of |f|^p, holds at most ``MAX_GRID_POINTS`` points.  Such a grid
     can be large: ``1 + e^{i 2^24 x}`` at p = 4 is exact on 2^26 points,
     about 3 GiB in 1-D (see ``evaluate_grid``).  Other p start at the
-    Nyquist grid ``pow2ceil(w_j + 1)`` of |f|^2 (at most ``max_grid // 2``
-    per axis) and double each axis within the caps until the relative change
-    is below ``rel_tol``: a heuristic stop rule, so the result is an
+    Nyquist grid ``pow2ceil(w_j + 1)`` of |f|^2 (at most ``MAX_GRID_SIDE //
+    4`` per axis) and double each axis within the caps until the relative
+    change is below ``rel_tol``: a heuristic stop rule, so the result is an
     estimate.  QuadratureAccuracyError (carrying the best estimate) is raised
-    when the caps are hit first.  Once a spread reaches ``max_grid / 2`` the
-    start grid is below the Nyquist size of |f|^2, and a sparse spectrum can
-    alias alike on successive grids: ``1 + e^{i 4096 x}`` at p = 1.5 gives
-    2.0, where the true norm is 1.3530.  p = inf refines a sampled maximum
-    from four times the Nyquist grid and never raises; the result is the
+    when the caps are hit first.  Once a spread reaches 2048 =
+    ``MAX_GRID_SIDE / 4`` the start grid is below the Nyquist size of |f|^2,
+    and a sparse spectrum can alias alike on successive grids:
+    ``1 + e^{i 4096 x}`` at p = 1.5 gives 2.0, where the true norm is
+    1.3530.  p = inf refines a sampled maximum from four times the Nyquist
+    grid, under the same start cap, and never raises; the result is the
     largest value sampled on any grid, a lower estimate of the true sup.
     """
     quad = quad or QuadratureSpec()
@@ -443,22 +453,20 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
             seen = max(seen, float(np.max(np.abs(vals))))
             return seen
 
-        start = [pow2ceil(4 * (w + 1)) for w in spread]
-        start = [max(8, g if g <= quad.max_grid else quad.max_grid // 4) for g in start]
-        return _refine(f, _fit_points(start), running_max, quad)[0]
+        return _refine(f, _start_grid(spread, 4), running_max, quad)[0]
 
     if p == int(p) and int(p) % 2 == 0:
         grid = tuple(max(8, pow2ceil(int(p) // 2 * w + 1)) for w in spread)
         if math.prod(grid) <= MAX_GRID_POINTS:
             return _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
 
-    # the Nyquist size of |f|^2, kept one doubling below the axis cap
-    start = _fit_points([max(8, min(pow2ceil(w + 1), quad.max_grid // 2)) for w in spread])
-    est, converged = _refine(f, start, lambda vals: _abs_power_mean(vals, p) ** (1.0 / p), quad)
+    est, converged = _refine(f, _start_grid(spread, 1),
+                             lambda vals: _abs_power_mean(vals, p) ** (1.0 / p), quad)
     if not converged:
         raise QuadratureAccuracyError(
             f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
-            f"within max_grid={quad.max_grid}", best_estimate=est)
+            f"within {MAX_GRID_SIDE} points per axis and {MAX_GRID_POINTS} in all",
+            best_estimate=est)
     return est
 
 

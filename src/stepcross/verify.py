@@ -280,7 +280,7 @@ def check_nikolskii(quick: bool = False) -> SectionResult:
     per_combo = 2 if quick else 84
     # near-zeros of |f| slow the grid quadrature to first order; 1e-5 is
     # ample next to the factor-2^d slack in the inequality itself
-    quad = QuadratureSpec(rel_tol=1e-5, max_grid=16384)
+    quad = QuadratureSpec(rel_tol=1e-5)
     rows = []
     total_violations = 0
     for ci, (q, p) in enumerate(combos):

@@ -299,6 +299,17 @@ def test_usage_error_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "band", "--s", "40"),
+    ("--family", "packet", "--s", "45"),
+    ("--family", "fejer", "--n", "100000000000"),
+])
+def test_kernels_past_the_term_cap_exit_4(capsys, argv):
+    code, err = exit_code(capsys, "kernels", *argv)
+    assert code == 4
+    assert "exceeding the cap" in err
+
+
 def test_parameter_error_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "sets", "--d", "0")
     assert code == 2

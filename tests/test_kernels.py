@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stepcross.errors import ParameterError
+from stepcross import indexsets
+from stepcross.errors import CapacityError, ParameterError
 from stepcross.kernels import (
     band_apply,
     band_kernel,
@@ -169,3 +170,17 @@ class TestPacket:
             lo, hi = anchor[j] - 2 ** (s[j] - 2), anchor[j] + 2 ** (s[j] - 2)
             col = p.ks[:, j]
             assert col.min() == lo and col.max() == hi
+
+
+@pytest.mark.parametrize("build, fits, too_big", [
+    (fejer, 10, 11),                     # 2n + 1 terms
+    (vallee_poussin, 5, 6),              # 4n - 1
+    (band_kernel, (3,), (1, 3)),         # 22 and 7 * 22
+    (k_packet, (4,), (4, 4)),            # (2 u + 1)^d, u = 4
+])
+def test_kernel_term_cap(monkeypatch, build, fits, too_big):
+    # the term count is checked in Python ints before anything is allocated
+    monkeypatch.setattr(indexsets, "MATERIALIZE_CAP", 22)
+    assert build(fits).n_terms <= 22
+    with pytest.raises(CapacityError):
+        build(too_big)

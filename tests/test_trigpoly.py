@@ -380,19 +380,22 @@ class TestLpNorm:
     def test_sup_norm(self):
         assert lp_norm(one_plus_exp(), INF) == pytest.approx(2.0, rel=1e-10)
 
-    def test_sup_never_exceeds_true_value(self):
+    def test_sup_never_exceeds_true_value(self, monkeypatch):
         rng = np.random.default_rng(11)
         for trial in range(5):
             ks = rng.integers(-6, 7, size=(12, 1))
             f = TrigPolynomial(ks, rng.standard_normal(12) + 1j * rng.standard_normal(12))
-            coarse = lp_norm(f, INF, QuadratureSpec(max_grid=64))
-            fine = lp_norm(f, INF, QuadratureSpec(max_grid=8192))
+            fine = lp_norm(f, INF)
+            with monkeypatch.context() as mp:
+                mp.setattr(trigpoly, "MAX_GRID_SIDE", 64)
+                coarse = lp_norm(f, INF)
             assert coarse <= fine * (1 + 1e-12)
 
-    def test_accuracy_error_carries_estimate(self):
+    def test_accuracy_error_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(trigpoly, "MAX_GRID_SIDE", 16)
         f = TrigPolynomial(np.arange(1, 40).reshape(-1, 1),
                            np.ones(39, dtype=complex))
-        quad = QuadratureSpec(rel_tol=1e-13, max_grid=16)
+        quad = QuadratureSpec(rel_tol=1e-13)
         with pytest.raises(QuadratureAccuracyError) as err:
             lp_norm(f, 1, quad)
         assert err.value.best_estimate > 0
@@ -408,16 +411,16 @@ class TestLpNorm:
         assert got == 6.0 ** 0.25
 
     def test_thin_block_even_grid_ignores_axis_cap(self, grid_shapes):
-        # the block s = (11, 1): its exact p = 4 grid (8192, 8) is longer
-        # than max_grid on one axis but holds only 65536 points
+        # the block s = (12, 1): its exact p = 4 grid (16384, 8) is longer
+        # than MAX_GRID_SIDE on one axis but holds only 131072 points
         rng = np.random.default_rng(4)
-        k1 = np.r_[-np.arange(1024, 2048), np.arange(1024, 2048)]
+        k1 = np.r_[-np.arange(2048, 4096), np.arange(2048, 4096)]
         ks = np.stack(np.meshgrid(k1, [-1, 1], indexing="ij"), axis=-1).reshape(-1, 2)
         f = TrigPolynomial(ks, rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks)))
-        assert QuadratureSpec().max_grid < 8192
+        assert trigpoly.MAX_GRID_SIDE < 16384
         got = lp_norm(f, 4)
-        assert grid_shapes == [(8192, 8)]
-        fine = float(np.mean(np.abs(f.evaluate_grid((16384, 16))) ** 4)) ** 0.25
+        assert grid_shapes == [(16384, 8)]
+        fine = float(np.mean(np.abs(f.evaluate_grid((32768, 16))) ** 4)) ** 0.25
         assert got == pytest.approx(fine, rel=1e-13)
 
     def test_adaptive_start_leaves_room_to_refine(self, grid_shapes):
@@ -442,31 +445,32 @@ class TestLpNorm:
         assert grid_shapes == [(16, 16)]
         assert got == float(np.mean(np.abs(f.evaluate_grid((16, 16))) ** 1.5)) ** (1 / 1.5)
 
-    def test_sup_is_the_running_grid_maximum(self, grid_shapes):
+    def test_sup_is_the_running_grid_maximum(self, grid_shapes, monkeypatch):
+        monkeypatch.setattr(trigpoly, "MAX_GRID_SIDE", 256)
         rng = np.random.default_rng(12)
         for trial in range(6):
             d = 1 + trial % 2
             ks = rng.integers(-9, 10, size=(15, d))
             f = TrigPolynomial(ks, rng.standard_normal(15) + 1j * rng.standard_normal(15))
             grid_shapes.clear()
-            got = lp_norm(f, INF, QuadratureSpec(rel_tol=1e-9, max_grid=256))
+            got = lp_norm(f, INF, QuadratureSpec(rel_tol=1e-9))
             # the first grid is the first doubling; the result is the largest
             # value sampled on any grid (a copy: evaluate_grid appends shapes)
             maxima = [float(np.max(np.abs(f.evaluate_grid(g)))) for g in list(grid_shapes)]
             assert got == max(maxima)
 
-    def test_no_doubling_raises_with_start_estimate(self, grid_shapes):
-        # max_grid = 8: the start grid (8,) cannot double, so it is the only
-        # grid, and its mean is the estimate carried by the error
+    def test_no_doubling_raises_with_start_estimate(self, grid_shapes, monkeypatch):
+        # a side cap of 8: the start grid (8,) cannot double, so it is the
+        # only grid, and its mean is the estimate carried by the error
+        monkeypatch.setattr(trigpoly, "MAX_GRID_SIDE", 8)
         f = TrigPolynomial(np.arange(1, 40).reshape(-1, 1), np.ones(39, dtype=complex))
-        quad = QuadratureSpec(max_grid=8)
         with pytest.raises(QuadratureAccuracyError) as err:
-            lp_norm(f, 1.5, quad)
+            lp_norm(f, 1.5)
         assert grid_shapes == [(8,)]
         want = float(np.mean(np.abs(f.evaluate_grid((8,))) ** 1.5)) ** (1 / 1.5)
         assert err.value.best_estimate == want
         grid_shapes.clear()
-        got = lp_norm(f, INF, quad)
+        got = lp_norm(f, INF)
         assert grid_shapes == [(8,)]
         assert got == float(np.max(np.abs(f.evaluate_grid((8,)))))
 
@@ -486,23 +490,17 @@ class TestLpNorm:
         assert all(norms[i] <= norms[i + 1] * (1 + 1e-6) for i in range(len(norms) - 1))
 
 
-def degree_rule_first_grid(f, p, quad):
-    """The first grid lp_norm evaluated when it sized grids from the largest
-    |k_j| (as if |f|^2 had degree 2 n_j) instead of the spread, and per axis
-    whether the sup start overflowed max_grid and fell back to max_grid // 4."""
+def degree_rule_first_grid(f, p):
+    """The first grid lp_norm would evaluate if it sized grids from the
+    largest |k_j| (as if |f|^2 had degree 2 n_j) instead of the spread."""
     n = f.degrees
-    fell_back = [False] * f.d
-    if p == INF:
-        start = [pow2ceil(4 * (2 * nj + 1)) for nj in n]
-        fell_back = [g > quad.max_grid for g in start]
-        start = [max(8, g if g <= quad.max_grid else quad.max_grid // 4) for g in start]
-    else:
-        if p == int(p) and int(p) % 2 == 0:
-            grid = tuple(max(8, pow2ceil(int(p) * nj + 1)) for nj in n)
-            if math.prod(grid) <= trigpoly.MAX_GRID_POINTS:
-                return grid, fell_back
-        start = [max(8, min(pow2ceil(2 * nj + 1), quad.max_grid // 2)) for nj in n]
-    return trigpoly._double_within_caps(trigpoly._fit_points(start), quad)[0], fell_back
+    if p != INF and p == int(p) and int(p) % 2 == 0:
+        grid = tuple(max(8, pow2ceil(int(p) * nj + 1)) for nj in n)
+        if math.prod(grid) <= trigpoly.MAX_GRID_POINTS:
+            return grid
+    m = 4 if p == INF else 1
+    start = [max(8, min(pow2ceil(m * (2 * nj + 1)), trigpoly.MAX_GRID_SIDE // 4)) for nj in n]
+    return trigpoly._double_within_caps(trigpoly._fit_points(start))[0]
 
 
 class TestSpreadSizing:
@@ -547,9 +545,7 @@ class TestSpreadSizing:
         # Frequencies stay small enough that the max-|k| exact grid also
         # fits under MAX_GRID_POINTS, so both rules pick the same method;
         # past that cap the spread rule can take an exact grid where the
-        # degree rule fell back to refinement.  Where the degree rule's sup
-        # start overflowed max_grid and fell back to max_grid // 4, the
-        # spread rule's start may fit and be larger, but never past max_grid.
+        # degree rule fell back to refinement.
         d = data.draw(st.sampled_from((1, 2)), label="d")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         lo = data.draw(st.integers(-200, 200), label="lo")
@@ -558,9 +554,7 @@ class TestSpreadSizing:
         f = TrigPolynomial(rng.integers(lo, hi + 1, size=(n, d)),
                            rng.standard_normal(n) + 1j * rng.standard_normal(n))
         p = data.draw(st.sampled_from((1, 1.5, 3, 4, 6, INF)), label="p")
-        quad = QuadratureSpec(rel_tol=1e-3,
-                              max_grid=data.draw(st.sampled_from((8, 64, 512, 4096)),
-                                                 label="max_grid"))
+        side = data.draw(st.sampled_from((8, 64, 512, 8192)), label="MAX_GRID_SIDE")
         shapes = []
         evaluate_grid = TrigPolynomial.evaluate_grid
 
@@ -570,13 +564,51 @@ class TestSpreadSizing:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(TrigPolynomial, "evaluate_grid", record)
+            mp.setattr(trigpoly, "MAX_GRID_SIDE", side)
             try:
-                lp_norm(f, p, quad)
+                lp_norm(f, p, QuadratureSpec(rel_tol=1e-3))
             except QuadratureAccuracyError:
                 pass
-        old, fell_back = degree_rule_first_grid(f, p, quad)
-        bound = [quad.max_grid if fb else g for g, fb in zip(old, fell_back)]
-        assert all(a <= b for a, b in zip(shapes[0], bound)), (shapes[0], old)
+            old = degree_rule_first_grid(f, p)
+        assert all(a <= b for a, b in zip(shapes[0], old)), (shapes[0], old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_first_grid_never_shrinks_as_the_spread_grows(self, data):
+        # 1 + e^{i(w, x)} has spread w; a larger spread on every axis never
+        # gets a smaller first grid, for the sup or for the adaptive mean
+        d = data.draw(st.sampled_from((1, 2)), label="d")
+        p = data.draw(st.sampled_from((1.5, INF)), label="p")
+
+        def spread_of_bit_length(e, label):
+            return data.draw(st.integers((1 << e) >> 1, (1 << e) - 1), label=label)
+
+        w, wider = [], []
+        for j in range(d):
+            e = data.draw(st.integers(0, 14), label=f"bit length {j}")
+            e_wider = data.draw(st.integers(e, 14), label=f"wider bit length {j}")
+            w.append(spread_of_bit_length(e, f"w{j}"))
+            wider.append(max(w[j], spread_of_bit_length(e_wider, f"wider w{j}")))
+
+        def first_grid(spread):
+            shapes = []
+
+            class FirstGrid(Exception):
+                pass
+
+            def record(g, shape):
+                shapes.append(tuple(shape))
+                raise FirstGrid
+
+            f = TrigPolynomial([[0] * d, spread], [1.0, 1.0])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(TrigPolynomial, "evaluate_grid", record)
+                with pytest.raises(FirstGrid):
+                    lp_norm(f, p)
+            return shapes[0]
+
+        small, large = first_grid(w), first_grid(wider)
+        assert all(a <= b for a, b in zip(small, large)), (w, wider, small, large)
 
 
 class TestRandom:
@@ -631,21 +663,21 @@ class TestNikolskii:
 
 
 def test_pow2ceil():
-    assert [pow2ceil(x) for x in (1, 2, 3, 4, 5, 17)] == [1, 2, 4, 4, 8, 32]
-    with pytest.raises(ParameterError):
-        pow2ceil(0)
+    assert [pow2ceil(x) for x in (1, 2, 3, 4, 5, 17, np.int64(33), 8.0)] == [1, 2, 4, 4, 8, 32, 64, 8]
+    for x in (0, -3, 1.5, 2.5, math.nan, INF, "4", None):
+        with pytest.raises(ParameterError):
+            pow2ceil(x)
 
 
 class TestQuadratureSpec:
-    def test_two_options(self):
-        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "max_grid"]
-        assert QuadratureSpec(rel_tol=1e-3, max_grid=16384).max_grid == 16384
-        assert QuadratureSpec(max_grid=np.int64(64)).max_grid == 64
+    def test_one_option(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol"]
+        assert QuadratureSpec(rel_tol=np.float64(1e-3)).rel_tol == 1e-3
 
     @pytest.mark.parametrize("kw", [
-        dict(max_grid=8.5), dict(max_grid=16.0), dict(max_grid="16"), dict(max_grid=12),
-        dict(max_grid=4), dict(rel_tol="1e-3"), dict(rel_tol=0.0), dict(rel_tol=1.0),
-        dict(rel_tol=math.nan), dict(rel_tol=None)])
+        dict(rel_tol=-1e-6), dict(rel_tol=2), dict(rel_tol=math.inf),
+        dict(rel_tol=1e-3j), dict(rel_tol=[1e-3]), dict(rel_tol="1e-3"),
+        dict(rel_tol=0.0), dict(rel_tol=1.0), dict(rel_tol=math.nan), dict(rel_tol=None)])
     def test_rejects_bad_input(self, kw):
         with pytest.raises(ParameterError):
             QuadratureSpec(**kw)
