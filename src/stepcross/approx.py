@@ -55,10 +55,6 @@ def _plus(x: float) -> float:
     return x if x > 0 else 0.0
 
 
-def _inv(x: float) -> float:
-    return 0.0 if x == math.inf else 1.0 / x
-
-
 def classify_regime(omega: MajorantParams, p: float, q: float, theta_: float) -> RateRegime:
     """Pick the regime for error metric q against the ball B_{p,theta}.
 
@@ -78,7 +74,7 @@ def classify_regime(omega: MajorantParams, p: float, q: float, theta_: float) ->
             raise UnsupportedRegimeError(
                 f"uniform-error regime needs r > 1/p, got r={r}, p={p}")
         main = r - 1.0 / p
-        lam = -sum(b) + (d - 1) * (r + 1.0 - 1.0 / p - _inv(theta_))
+        lam = -sum(b) + (d - 1) * (r + 1.0 - 1.0 / p - 1.0 / theta_)
         return RateRegime(p, q, theta_, "sup_norm", main, lam)
 
     if p == math.inf:
@@ -88,12 +84,12 @@ def classify_regime(omega: MajorantParams, p: float, q: float, theta_: float) ->
             f"no supported rate for q > p (q={q}, p={p})")
     if p >= 2:
         main = r
-        lam = -sum(b) + (d - 1) * (r + _plus(0.5 - _inv(theta_)))
+        lam = -sum(b) + (d - 1) * (r + _plus(0.5 - 1.0 / theta_))
         return RateRegime(p, q, theta_, "large_p", main, lam)
     if p == 1 and q == 1:
         raise UnsupportedRegimeError("the pair p = q = 1 has no supported rate")
     main = r
-    lam = -sum(b) + (d - 1) * (r + _plus(1.0 / p - _inv(theta_)))
+    lam = -sum(b) + (d - 1) * (r + _plus(1.0 / p - 1.0 / theta_))
     return RateRegime(p, q, theta_, "small_p", main, lam)
 
 

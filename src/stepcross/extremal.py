@@ -18,7 +18,7 @@ import numpy as np
 
 from .besov import BesovParams
 from .errors import ParameterError
-from .indexsets import theta, theta_prime
+from .indexsets import _tensor_rows, theta, theta_prime
 from .kernels import k_packet, ks_vector
 from .majorant import MajorantParams
 from .trigpoly import TrigPolynomial
@@ -89,7 +89,7 @@ def g3_shell_normalized(cfg: WitnessConfig) -> TrigPolynomial:
     """g2 scaled by N^{-1} (log2 N)^{-(d-1)/theta}: unit-ball size for the
     mean-square regime."""
     d, th = cfg.omega.d, cfg.bp.theta
-    expo = 0.0 if th == math.inf else -(d - 1) / th
+    expo = -(d - 1) / th
     return g2_shell_modes(cfg) * (1.0 / cfg.n * cfg.log_n ** expo)
 
 
@@ -125,9 +125,7 @@ def packet_layout(cfg: WitnessConfig) -> PacketLayout:
         raise ParameterError(
             f"packet width u={u} collides with octave floor 2^{min_s - 1}; "
             f"the shell at N={cfg.n} is too shallow for a packet cloud")
-    axes = [(np.arange(v) + 0.5) * (2 * math.pi / v) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([mm.reshape(-1) for mm in mesh], axis=1)
+    centers = _tensor_rows([(np.arange(v) + 0.5) * (2 * math.pi / v)] * d)
     return PacketLayout(u=u, v=v, boxes=boxes, centers=centers)
 
 
@@ -144,9 +142,7 @@ def g5_packet_normalized(cfg: WitnessConfig) -> TrigPolynomial:
     """g4 scaled by N^{-1} (log2 N)^{(d-1)(1/p - 1 - 1/theta)}: unit-ball
     size for the small-integrability regime."""
     d, p, th = cfg.omega.d, cfg.bp.p, cfg.bp.theta
-    inv_p = 0.0 if p == math.inf else 1.0 / p
-    inv_t = 0.0 if th == math.inf else 1.0 / th
-    expo = (d - 1) * (inv_p - 1.0 - inv_t)
+    expo = (d - 1) * (1.0 / p - 1.0 - 1.0 / th)
     return g4_packet_cloud(cfg) * (1.0 / cfg.n * cfg.log_n ** expo)
 
 
@@ -173,9 +169,8 @@ def g7_stack_normalized(cfg: WitnessConfig) -> TrigPolynomial:
     om, p, th = cfg.omega, cfg.bp.p, cfg.bp.theta
     if p == math.inf:
         raise ParameterError("the uniform-regime witness needs p < inf")
-    inv_t = 0.0 if th == math.inf else 1.0 / th
     cross_size = cfg.n ** (1.0 / om.r) * cfg.log_n ** (-sum(om.b) / om.r)
-    scale = 1.0 / cfg.n * cross_size ** (1.0 / p - 1.0) * cfg.log_n ** (-(om.d - 1) * inv_t)
+    scale = 1.0 / cfg.n * cross_size ** (1.0 / p - 1.0) * cfg.log_n ** (-(om.d - 1) * (1.0 / th))
     return g6_packet_stack(cfg) * scale
 
 

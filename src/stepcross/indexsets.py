@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .majorant import MajorantParams, log2_weight
+from .majorant import MajorantParams, check_box_index, log2_weight
 
 __all__ = [
     "SpectrumSet",
@@ -58,15 +58,6 @@ TIE_RTOL = 1e-12
 EPS = math.ulp(1.0)
 
 
-def _check_box_index(s, d: int) -> tuple[int, ...]:
-    s = tuple(int(x) for x in s)
-    if len(s) != d:
-        raise ParameterError(f"box index has {len(s)} coordinates, expected {d}")
-    if any(x < 1 for x in s):
-        raise ParameterError(f"box index coordinates must be >= 1, got {s}")
-    return s
-
-
 @dataclass(frozen=True)
 class SpectrumSet:
     """A union of disjoint dyadic octave boxes in Z^d.
@@ -82,7 +73,7 @@ class SpectrumSet:
 
     @staticmethod
     def from_boxes(d: int, boxes) -> "SpectrumSet":
-        cleaned = sorted({_check_box_index(s, d) for s in boxes})
+        cleaned = sorted({check_box_index(s, d) for s in boxes})
         return SpectrumSet(d=d, boxes=tuple(cleaned))
 
     @cached_property
@@ -101,7 +92,7 @@ class SpectrumSet:
         if not self.boxes:
             return np.empty((0, self.d), dtype=np.int64)
         if len(self.boxes) == 1:
-            # meshgrid of increasing axes, "ij" order: already row-lex
+            # increasing axes: already row-lex
             return _box_points(self.boxes[0])
         pts = np.concatenate([_box_points(s) for s in self.boxes], axis=0)
         order = np.lexsort(pts.T[::-1])
@@ -114,16 +105,22 @@ def _octave_coords(sj: int) -> np.ndarray:
     return np.concatenate([-pos[::-1], pos])
 
 
-def _box_points(s: tuple[int, ...]) -> np.ndarray:
-    axes = [_octave_coords(sj) for sj in s]
+def _tensor_rows(axes) -> np.ndarray:
+    """Every combination of the 1-D ``axes``, one row each, the last axis
+    varying fastest: row-lex order when every axis increases.  The one
+    tensor-grid builder of the package."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _box_points(s: tuple[int, ...]) -> np.ndarray:
+    return _tensor_rows([_octave_coords(sj) for sj in s])
+
+
 def rho(s) -> SpectrumSet:
-    """The single octave box with index s (every s_j >= 1)."""
-    s = tuple(int(x) for x in np.atleast_1d(np.asarray(s)).tolist())
-    return SpectrumSet.from_boxes(len(s), [s])
+    """The single octave box with index s (see ``majorant.check_box_index``)."""
+    s = check_box_index(s)
+    return SpectrumSet(d=len(s), boxes=(s,))
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class IndexFamily:
         return iter(self.members)
 
     def __contains__(self, s) -> bool:
-        return tuple(int(x) for x in s) in set(self.members)
+        return tuple(s) in self.members
 
     def as_array(self) -> np.ndarray:
         if not self.members:
@@ -256,9 +253,7 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
     hi = math.floor(big_l / (r * d))
     if hi < lo:
         return IndexFamily(kind="theta_prime", n=n, members=())
-    side = np.arange(lo, hi + 1)
-    prefixes = np.stack(np.meshgrid(*[side] * (d - 1), indexing="ij"),
-                        axis=-1).reshape(-1, d - 1)
+    prefixes = _tensor_rows([np.arange(lo, hi + 1)] * (d - 1))
     # every prefix is outside chi(N) by the table's last s
     least = sum(_axis_table(r, bj, -math.inf)[1].min() for bj in b[:-1])
     s, _ = _axis_table(r, b[-1], _log2_limit(n, slacks=2) - least)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import indexsets
 from .errors import CapacityError, ParameterError
+from .majorant import check_box_index
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -86,16 +87,9 @@ def _band_factor(sj: int, k: np.ndarray) -> np.ndarray:
     return vp_coefficient(2 ** sj, k) - vp_coefficient(2 ** (sj - 1), k)
 
 
-def _check_octave_index(s) -> tuple[int, ...]:
-    s = tuple(int(x) for x in np.atleast_1d(np.asarray(s)).tolist())
-    if any(x < 1 for x in s):
-        raise ParameterError(f"octave index coordinates must be >= 1, got {s}")
-    return s
-
-
 def band_multiplier(s, ks) -> np.ndarray:
     """Tensor band multiplier values at the given frequencies (m, d)."""
-    s = _check_octave_index(s)
+    s = check_box_index(s)
     ks = np.asarray(ks, dtype=np.int64)
     if ks.ndim == 1:
         ks = ks.reshape(-1, len(s)) if len(s) > 1 else ks.reshape(-1, 1)
@@ -108,9 +102,9 @@ def band_multiplier(s, ks) -> np.ndarray:
 
 
 def band_kernel(s) -> TrigPolynomial:
-    """The band multiplier materialized as a polynomial (tensor product of
-    univariate profiles)."""
-    s = _check_octave_index(s)
+    """The band multiplier materialized as a polynomial: ``band_multiplier``
+    on the tensor product of the per-axis supports."""
+    s = check_box_index(s)
     # nonzero profile values per axis: |k| <= 3 for s_j = 1, else
     # 2^{s_j - 1} < |k| <= 2^{s_j + 1} - 1
     _check_terms(math.prod(7 if sj == 1 else 3 * 2 ** sj - 2 for sj in s))
@@ -118,15 +112,9 @@ def band_kernel(s) -> TrigPolynomial:
     for sj in s:
         hi = 2 ** (sj + 1) - 1
         k = np.arange(-hi, hi + 1, dtype=np.int64)
-        v = _band_factor(sj, k)
-        keep = v != 0
-        axes.append((k[keep], v[keep]))
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    ks = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    prof = axes[0][1]
-    for _, v in axes[1:]:
-        prof = np.multiply.outer(prof, v)
-    return TrigPolynomial(ks, prof.reshape(-1))
+        axes.append(k[_band_factor(sj, k) != 0])
+    ks = indexsets._tensor_rows(axes)
+    return TrigPolynomial(ks, band_multiplier(s, ks))
 
 
 def band_apply(f: TrigPolynomial, s) -> TrigPolynomial:
@@ -138,7 +126,7 @@ def band_apply(f: TrigPolynomial, s) -> TrigPolynomial:
 def ks_vector(s) -> np.ndarray:
     """The anchor frequency of octave s: 3 * 2^{s_j - 2} when s_j >= 2
     (midpoint of the dyadic block), 1 when s_j = 1."""
-    s = _check_octave_index(s)
+    s = check_box_index(s)
     return np.array([3 * 2 ** (sj - 2) if sj >= 2 else 1 for sj in s], dtype=np.int64)
 
 
@@ -152,7 +140,7 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
     packet inside the two octaves at and above s.  Frequencies with a zero
     coordinate are rejected.
     """
-    s = _check_octave_index(s)
+    s = check_box_index(s)
     d = len(s)
     if u is None:
         if any(sj < 2 for sj in s):
@@ -180,11 +168,9 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
                 f"packet width {uj} reaches a zero frequency coordinate "
                 f"(anchor {int(aj)} in coordinate {j})")
 
-    axes = [np.arange(-uj, uj + 1, dtype=np.int64) for uj in us]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    deltas = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    deltas = indexsets._tensor_rows([np.arange(-uj, uj + 1, dtype=np.int64) for uj in us])
     weights = np.ones(deltas.shape[0])
     for j, uj in enumerate(us):
-        weights *= 1.0 - np.abs(deltas[:, j]) / (uj + 1.0)
+        weights *= fejer_coefficient(uj, deltas[:, j])
     phases = np.exp(-1j * (deltas.astype(float) @ x_center))
     return TrigPolynomial(anchor[None, :] + deltas, weights * phases)

@@ -13,6 +13,7 @@ computation downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,14 @@ from .errors import ParameterError
 
 # the audit probes t = 2^-m for m = 0..PROBE_DEPTH
 PROBE_DEPTH = 20
+# the octave of the largest int64 frequency, 2^63 - 1: the deepest box whose
+# frequencies (and anchor 3 * 2^{s_j - 2}) are int64
+MAX_OCTAVE = 63
 
 __all__ = [
     "MajorantParams",
+    "MAX_OCTAVE",
+    "check_box_index",
     "omega_eval",
     "omega_dyadic",
     "log2_omega_dyadic",
@@ -106,6 +112,31 @@ def omega_eval(params: MajorantParams, t) -> float:
     return out
 
 
+def check_box_index(s, d: int | None = None) -> tuple[int, ...]:
+    """A box index as a tuple of Python ints, the one check every entry point
+    that takes an octave index uses.
+
+    Accepts a scalar or a flat sequence of integral numbers (2.0 is box 2);
+    raises ParameterError for a non-integral, non-finite or non-numeric
+    coordinate, one below 1 or above ``MAX_OCTAVE``, an empty index, and,
+    when ``d`` is given, an index without d coordinates.
+    """
+    try:
+        arr = np.atleast_1d(np.asarray(s))
+    except ValueError as exc:
+        raise ParameterError(f"box index must be a flat sequence of integers, got {s!r}") from exc
+    coords = arr.tolist()
+    if arr.ndim != 1 or not all(
+            isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x) for x in coords):
+        raise ParameterError(f"box index coordinates must be integers, got {s!r}")
+    out = tuple(int(x) for x in coords)
+    if not out or (d is not None and len(out) != d):
+        raise ParameterError(f"box index has {len(out)} coordinates, expected {d or 'at least 1'}")
+    if any(not 1 <= x <= MAX_OCTAVE for x in out):
+        raise ParameterError(f"box index coordinates must lie in [1, {MAX_OCTAVE}], got {out}")
+    return out
+
+
 def omega_dyadic(params: MajorantParams, s) -> float:
     """omega at the dyadic point 2^{-s}: prod_j 2^{-r s_j} s_j^{-b_j}."""
     return 2.0 ** log2_omega_dyadic(params, s)
@@ -113,12 +144,7 @@ def omega_dyadic(params: MajorantParams, s) -> float:
 
 def log2_omega_dyadic(params: MajorantParams, s) -> float:
     """log2 of omega_dyadic, that is -log2 w(s) for one validated box index."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if s.size != params.d:
-        raise ParameterError(f"index has {s.size} coordinates, expected {params.d}")
-    if np.any(s < 1) or np.any(s != np.floor(s)):
-        raise ParameterError(f"dyadic index coordinates must be integers >= 1, got {s}")
-    return float(-log2_weight(params, s.reshape(1, -1))[0])
+    return float(-log2_weight(params, [check_box_index(s, params.d)])[0])
 
 
 def log2_weight(params: MajorantParams, boxes) -> np.ndarray:

@@ -12,9 +12,8 @@ refinement from the Nyquist grid of |f|^2, stopped when two successive grids
 agree (an estimate, not a certified error); the sup norm refines a sampled
 maximum, which never exceeds the true sup.  One loop, ``_refine``, does
 both.  Every grid holds at most ``MAX_GRID_POINTS`` points, and a refined
-grid at most ``MAX_GRID_SIDE`` points per axis.  The refined starts stay at
-most ``MAX_GRID_SIDE / 4`` per axis, so from a spread of 2048 on, the
-adaptive mean starts below the Nyquist grid of |f|^2 and can alias.
+grid at most ``MAX_GRID_SIDE`` points per axis (see ``lp_norm`` for where
+that limits the adaptive mean).
 
 Grids are sized from the spread w_j = max k_j - min k_j of each axis, not
 from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
@@ -38,6 +37,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, QuadratureAccuracyError
 from .indexsets import SpectrumSet
+from .majorant import MAX_OCTAVE
 
 __all__ = [
     "TrigPolynomial",
@@ -54,6 +54,8 @@ DIRECT_EVAL_CHUNK_OPS = 1 << 22
 MAX_GRID_POINTS = 1 << 26
 # the longest axis of a refined grid; exact even-p grids obey MAX_GRID_POINTS only
 MAX_GRID_SIDE = 1 << 13
+# 2^0 .. 2^MAX_OCTAVE: |k| has octave sigma when exactly sigma of them are <= |k|
+_OCTAVE_FLOORS = np.left_shift(np.uint64(1), np.arange(MAX_OCTAVE + 1, dtype=np.uint64))
 
 
 def pow2ceil(x: int) -> int:
@@ -178,11 +180,11 @@ class TrigPolynomial:
 
     def octaves(self) -> np.ndarray:
         """Per-coefficient octave indices: sigma_j = bit length of |k_j|
-        (zero coordinates give sigma_j = 0)."""
-        mag = np.abs(self.ks)
-        # float64 rounding can carry the exponent one octave too high
-        est = np.frexp(mag.astype(np.float64))[1]
-        return est - ((est > 0) & (mag >> np.maximum(est - 1, 0) == 0))
+        (zero coordinates give sigma_j = 0), exact in integers over the
+        whole int64 range."""
+        # |-2^63| wraps to -2^63 in int64 and reads 2^63 as uint64
+        mag = np.abs(self.ks).view(np.uint64)
+        return np.searchsorted(_OCTAVE_FLOORS, mag, side="right")
 
     # -- algebra ----------------------------------------------------------
 
@@ -342,10 +344,9 @@ class QuadratureSpec:
     """Controls for norm evaluation: ``rel_tol`` stops the grid refinement
     of fractional, odd and infinite p.  The refined grids start from each
     axis's frequency spread, at most ``MAX_GRID_SIDE / 4`` points per axis,
-    and double up to ``MAX_GRID_SIDE``; from a spread of 2048 on, the
-    adaptive mean therefore starts below the Nyquist grid of |f|^2.  Exact
-    even-p grids ignore the side cap.  Every grid, exact or refined, holds
-    at most ``MAX_GRID_POINTS`` points.
+    and double up to ``MAX_GRID_SIDE``.  Exact even-p grids ignore the side
+    cap.  Every grid, exact or refined, holds at most ``MAX_GRID_POINTS``
+    points.
     """
 
     rel_tol: float = 1e-6
@@ -502,8 +503,7 @@ def nikolskii_check(f: TrigPolynomial, q: float, p: float,
         raise ParameterError(f"need 1 <= q < p, got q={q}, p={p}")
     lhs = lp_norm(f, p, quad)
     rhs_q = lp_norm(f, q, quad)
-    inv_p = 0.0 if p == math.inf else 1.0 / p
     factor = 2.0 ** f.d
     for nj in f.degrees:
-        factor *= max(nj, 1) ** (1.0 / q - inv_p)
+        factor *= max(nj, 1) ** (1.0 / q - 1.0 / p)
     return NikolskiiResult(lhs=lhs, rhs=factor * rhs_q, q=q, p=p)

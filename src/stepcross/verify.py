@@ -27,7 +27,8 @@ import numpy as np
 from .approx import classify_regime, fit_rate, project_q, rate_experiment, theoretical_rate
 from .besov import BesovParams, besov_norm, besov_terms, combine, dyadic_blocks
 from .errors import ParameterError
-from .indexsets import q_set, q_size, rho, size_prediction, tail_sum, theta, theta_prime, theta_sum
+from .indexsets import (_tensor_rows, q_set, q_size, rho, size_prediction, tail_sum, theta,
+                        theta_sum)
 from .kernels import band_multiplier, fejer, vallee_poussin
 from .majorant import MajorantParams
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, nikolskii_check, pow2ceil, random_in_spectrum
@@ -179,8 +180,7 @@ def check_identities(quick: bool = False) -> SectionResult:
         side = np.arange(-32, 33)
     extra = np.array([-256, -255, -129, 129, 255, 256])
     axis = np.unique(np.concatenate([side, extra]))
-    k1, k2 = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([k1.reshape(-1), k2.reshape(-1)], axis=1)
+    pts = _tensor_rows([axis, axis])
     total = np.zeros(len(pts))
     for s1 in range(1, 9):
         for s2 in range(1, 9):
@@ -203,42 +203,35 @@ def check_identities(quick: bool = False) -> SectionResult:
 # -- cardinalities ---------------------------------------------------------
 
 
-def check_cross_size(quick: bool = False) -> SectionResult:
-    """Measured cross cardinality against N^{1/r} L^{(d-1) - sum(b)/r}."""
+def _size_section(name: str, count, predict, tol: float) -> SectionResult:
+    """count(om, n) / predict(om, n) over N = 2^6..2^20 for every config,
+    passing when each config's ratio band stays within ``tol``."""
     rows, bands = [], {}
     for label, om in CONFIGS:
         ratios = []
         for n in _octave_range(6, 20):
-            m = q_size(om, n)
-            pred = size_prediction(om, n)
+            m = count(om, n)
+            pred = predict(om, n)
             ratio = m / pred
             ratios.append(ratio)
             rows.append((label, n, m, pred, ratio))
         bands[label] = _band(ratios)
-    passed = all(v <= SIZE_BAND for v in bands.values())
+    passed = all(v <= tol for v in bands.values())
     summary = "ratio bands: " + ", ".join(
-        f"{k} {v:.3f}" for k, v in bands.items()) + f" (tol {SIZE_BAND})"
-    return SectionResult("cross-size", passed, summary,
+        f"{k} {v:.3f}" for k, v in bands.items()) + f" (tol {tol})"
+    return SectionResult(name, passed, summary,
                          ("config", "n", "count", "predicted", "ratio"), rows)
+
+
+def check_cross_size(quick: bool = False) -> SectionResult:
+    """Measured cross cardinality against N^{1/r} L^{(d-1) - sum(b)/r}."""
+    return _size_section("cross-size", q_size, size_prediction, SIZE_BAND)
 
 
 def check_shell_size(quick: bool = False) -> SectionResult:
     """Boundary shell cardinality against L^{d-1}."""
-    rows, bands = [], {}
-    for label, om in CONFIGS:
-        ratios = []
-        for n in _octave_range(6, 20):
-            count = len(theta(om, n))
-            pred = math.log2(n) ** (om.d - 1)
-            ratio = count / pred
-            ratios.append(ratio)
-            rows.append((label, n, count, pred, ratio))
-        bands[label] = _band(ratios)
-    passed = all(v <= SHELL_BAND for v in bands.values())
-    summary = "ratio bands: " + ", ".join(
-        f"{k} {v:.3f}" for k, v in bands.items()) + f" (tol {SHELL_BAND})"
-    return SectionResult("shell-size", passed, summary,
-                         ("config", "n", "count", "predicted", "ratio"), rows)
+    return _size_section("shell-size", lambda om, n: len(theta(om, n)),
+                         lambda om, n: math.log2(n) ** (om.d - 1), SHELL_BAND)
 
 
 # -- tail domination -------------------------------------------------------
@@ -404,10 +397,11 @@ def check_averaged_witness(quick: bool = False) -> SectionResult:
         proj_zero &= project_q(f, om, n).is_zero
         bnorm = besov_norm(f, om, bp)
         err = lp_norm(f, q, quad)
-        thy = theoretical_rate(om, regime, q_size(om, n))
+        m = q_size(om, n)
+        thy = theoretical_rate(om, regime, m)
         norms.append(bnorm)
         ratios.append(err / thy)
-        rows.append((n, q_size(om, n), bnorm, err, thy, err / thy))
+        rows.append((n, m, bnorm, err, thy, err / thy))
     norm_band = _band(norms)
     ratio_band = _band(ratios)
     passed = proj_zero and norm_band <= WITNESS_NORM_BAND and ratio_band <= WITNESS_RATIO_BAND
@@ -438,14 +432,13 @@ def check_uniform_witness(quick: bool = False) -> SectionResult:
         # must match the closed-form coefficient sum
         closed = float(np.sum(f.cs).real)
         dev_closed = max(dev_closed, abs(err - closed) / closed)
-        logn = math.log2(n)
-        peak_ratio = g6_peak_value(cfg) / (
-            n ** (1.0 / om.r) * logn ** (om.d - 1 - sum(om.b) / om.r))
-        thy = theoretical_rate(om, regime, q_size(om, n))
+        peak_ratio = g6_peak_value(cfg) / size_prediction(om, n)
+        m = q_size(om, n)
+        thy = theoretical_rate(om, regime, m)
         norms.append(bnorm)
         ratios.append(err / thy)
         peaks.append(peak_ratio)
-        rows.append((n, q_size(om, n), bnorm, peak_ratio, err, thy, err / thy))
+        rows.append((n, m, bnorm, peak_ratio, err, thy, err / thy))
     norm_band = _band(norms)
     peak_band = _band(peaks)
     ratio_band = _band(ratios)

@@ -310,6 +310,17 @@ def test_kernels_past_the_term_cap_exit_4(capsys, argv):
     assert "exceeding the cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "packet", "--s", "64", "--u", "1"),
+    ("--family", "packet", "--s", "3,64"),
+    ("--family", "band", "--s", "64"),
+])
+def test_kernels_index_past_the_deepest_octave_exit_2(capsys, argv):
+    code, err = exit_code(capsys, "kernels", *argv)
+    assert code == 2
+    assert "[1, 63]" in err
+
+
 def test_parameter_error_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "sets", "--d", "0")
     assert code == 2

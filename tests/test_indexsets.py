@@ -158,6 +158,11 @@ class TestChi:
         fam = chi(P(1, 0.5, -1.0), 2)
         assert (2,) in fam and (1,) in fam
 
+    def test_membership_takes_the_index_as_given(self):
+        fam = chi(PLAIN_2D, 64)
+        assert (2, 3) in fam and [2, 3] in fam and np.array([2, 3]) in fam
+        assert (2.5, 3) not in fam and (2, 3.7) not in fam and (2,) not in fam
+
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             chi(P(1, 1.0, 0.0), 0.0)

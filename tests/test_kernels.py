@@ -16,7 +16,10 @@ from stepcross.kernels import (
     vallee_poussin,
     vp_coefficient,
 )
+from stepcross.besov import BesovParams
+from stepcross.extremal import WitnessConfig, packet_layout
 from stepcross.trigpoly import TrigPolynomial, QuadratureSpec, lp_norm
+from stepcross.verify import PLAIN_2D
 
 
 class TestClassicalKernels:
@@ -184,3 +187,44 @@ def test_kernel_term_cap(monkeypatch, build, fits, too_big):
     assert build(fits).n_terms <= 22
     with pytest.raises(CapacityError):
         build(too_big)
+
+
+class TestReferenceConstructions:
+    """band_kernel and k_packet against the outer-product and weight-loop
+    constructions they replaced, bit for bit."""
+
+    @staticmethod
+    def tensor(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+    @pytest.mark.parametrize("s", [(1,), (2,), (5,), (3, 4), (1, 7), (2, 2, 3)])
+    def test_band_kernel(self, s):
+        axes = []
+        for sj in s:
+            hi = 2 ** (sj + 1) - 1
+            k = np.arange(-hi, hi + 1, dtype=np.int64)
+            if sj == 1:
+                v = vp_coefficient(2, k)
+            else:
+                v = vp_coefficient(2 ** sj, k) - vp_coefficient(2 ** (sj - 1), k)
+            axes.append((k[v != 0], v[v != 0]))
+        prof = axes[0][1]
+        for _, v in axes[1:]:
+            prof = np.multiply.outer(prof, v)
+        got = band_kernel(s)
+        assert np.array_equal(got.ks, self.tensor([k for k, _ in axes]))
+        assert np.array_equal(got.cs, prof.reshape(-1))
+
+    def test_k_packet_on_the_cloud_layout(self):
+        layout = packet_layout(WitnessConfig(omega=PLAIN_2D, bp=BesovParams(2.0, 3.0), n=2.0 ** 12))
+        for s, center in zip(layout.boxes, layout.centers):
+            anchor = np.array([3 * 2 ** (sj - 2) if sj >= 2 else 1 for sj in s], dtype=np.int64)
+            deltas = self.tensor([np.arange(-layout.u, layout.u + 1, dtype=np.int64)] * 2)
+            weights = np.ones(deltas.shape[0])
+            for j in range(2):
+                weights *= 1.0 - np.abs(deltas[:, j]) / (layout.u + 1.0)
+            phases = np.exp(-1j * (deltas.astype(float) @ center))
+            got = k_packet(s, x_center=center, u=layout.u)
+            assert np.array_equal(got.ks, anchor + deltas)
+            assert np.array_equal(got.cs, weights * phases)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from stepcross.errors import ParameterError
+from stepcross.indexsets import SpectrumSet, rho
+from stepcross.kernels import band_apply, band_kernel, band_multiplier, k_packet, ks_vector
+from stepcross.trigpoly import TrigPolynomial
 from stepcross.majorant import (
+    MAX_OCTAVE,
     MajorantParams,
     MajorantAuditReport,
+    check_box_index,
     omega_eval,
     omega_dyadic,
     log2_omega_dyadic,
@@ -95,6 +100,67 @@ class TestOmegaDyadic:
     def test_rejects_zero_index(self):
         with pytest.raises(ParameterError):
             omega_dyadic(P(1, 1.0, 0.0), (0,))
+
+
+class TestBoxIndex:
+    @pytest.mark.parametrize("s, want", [
+        (3, (3,)),
+        (2.0, (2,)),
+        (np.int64(4), (4,)),
+        ((2, 3), (2, 3)),
+        ([1.0, MAX_OCTAVE], (1, MAX_OCTAVE)),
+        (np.array([5, 1]), (5, 1)),
+    ])
+    def test_accepts_integral_coordinates(self, s, want):
+        got = check_box_index(s)
+        assert got == want and all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize("s", [
+        2.5, (2, 3.7), (0, 2), (-1,), (MAX_OCTAVE + 1,), (2, math.nan), (math.inf,),
+        ("3",), (), [[2, 3]], [(1,), (2, 3)], 2 ** 70,
+    ])
+    def test_rejects(self, s):
+        with pytest.raises(ParameterError):
+            check_box_index(s)
+
+    def test_rejects_wrong_length(self):
+        assert check_box_index((2, 3), 2) == (2, 3)
+        with pytest.raises(ParameterError, match="expected 3"):
+            check_box_index((2, 3), 3)
+
+    # every public entry point that takes a 2-D box index
+    ENTRY_POINTS = {
+        "rho": rho,
+        "from_boxes": lambda s: SpectrumSet.from_boxes(2, [s]),
+        "omega_dyadic": lambda s: omega_dyadic(P(2, 1.0, (0.0, 0.0)), s),
+        "log2_omega_dyadic": lambda s: log2_omega_dyadic(P(2, 1.0, (0.0, 0.0)), s),
+        "band_multiplier": lambda s: band_multiplier(s, [[3, 5]]),
+        "band_kernel": band_kernel,
+        "band_apply": lambda s: band_apply(TrigPolynomial([[3, 5]], [1.0]), s),
+        "ks_vector": ks_vector,
+        "k_packet": lambda s: k_packet(s, u=1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("s", [(2.5, 3), (3, 3.7), (64, 3), (3, 64), (2, math.nan)])
+    def test_every_entry_point_refuses(self, entry, s):
+        with pytest.raises(ParameterError):
+            self.ENTRY_POINTS[entry](s)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_entry_point_takes_an_integral_float(self, entry):
+        def value(x):
+            return (x.ks, x.cs) if isinstance(x, TrigPolynomial) else x
+
+        build = self.ENTRY_POINTS[entry]
+        np.testing.assert_equal(value(build((3.0, 4.0))), value(build((3, 4))))
+
+    def test_deepest_octave(self):
+        k = ks_vector((MAX_OCTAVE,))
+        assert k.tolist() == [3 * 2 ** (MAX_OCTAVE - 2)]
+        packet = k_packet((MAX_OCTAVE,), u=1)
+        assert packet.octaves().ravel().tolist() == [MAX_OCTAVE] * 3
+        assert rho((MAX_OCTAVE,)).size == 2 ** MAX_OCTAVE
 
 
 class TestAudit:

@@ -92,6 +92,19 @@ class TestContainer:
         assert f.octaves()[:, 0].tolist() == want
         assert TrigPolynomial([[2 ** 54 - 1]], [1.0]).octaves().tolist() == [[54]]
 
+    # values at and next to every power of two, and anywhere in int64
+    INT64 = st.one_of(
+        st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.builds(lambda e, off, sign: max(-2 ** 63, min(2 ** 63 - 1, sign * (2 ** e + off))),
+                  st.integers(0, 63), st.integers(-1, 1), st.sampled_from([-1, 1])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(INT64, INT64), min_size=1, max_size=20))
+    def test_octaves_bit_length_property(self, rows):
+        f = TrigPolynomial(rows, np.ones(len(rows)))
+        want = [[abs(k).bit_length() for k in row] for row in f.ks.tolist()]
+        assert f.octaves().tolist() == want
+
     def test_1d_shorthand(self):
         f = TrigPolynomial([1, 2, 3], [1.0, 1.0, 1.0])
         assert f.d == 1 and f.n_terms == 3
