@@ -15,9 +15,18 @@ exactly, even through an irrational identity such as
 2^{16.5} 24^{-1/2} 9^{1/4} = 2^{15}, counts as inside everywhere.  Per-axis
 weight tables only bound the candidates that ``in_cross`` then filters.
 
+Each cross is enumerated once per (majorant, N): ``_cross`` keeps the
+lex-sorted rows of chi(N) and their ``log2_weight``, both read-only, in an
+LRU cache of two entries.  ``chi``, ``q_size`` and ``tail_sum`` read it at
+N; ``theta`` and ``theta_sum`` read it at 2^l N and split off the shell
+with the same comparison ``in_cross`` makes.  One shell or tail computation
+asks for no other key than N and 2^l N, so two entries serve every call
+made at one N.  After a call returns the cache holds at most
+2 x ``ENUMERATION_CAP`` rows of d int64 plus one float64 weight each.
+
 The series of the tail-domination lemma share one summand,
 w(s)^{-p} 2^{beta p |s|_1} = 2^{-p (log2 w(s) - beta |s|_1)}.  ``theta_sum``
-takes it from ``log2_weight`` over the shell rows.  ``tail_sum`` adds only
+takes it from the cached weights of the shell rows.  ``tail_sum`` adds only
 positive terms: it splits the boxes outside chi(N) by the first axis where
 they leave the cross rows and sums each piece from per-axis prefix and
 suffix sums, so nothing is subtracted.
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -180,22 +189,29 @@ def _log2_limit(n: float, slacks: int = 1) -> float:
     return target + slacks * TIE_RTOL * max(1.0, target)
 
 
+def _inside(log2w: np.ndarray, n: float) -> np.ndarray:
+    # the membership rule, on weights already taken with log2_weight
+    return log2w <= _log2_limit(n)
+
+
 def in_cross(params: MajorantParams, boxes, n: float) -> np.ndarray:
     """Whether each row of an (m, d) array of box indices lies in chi(N):
     log2 w(s) <= log2 N + TIE_RTOL * max(1, log2 N), so exact ties are in."""
-    return log2_weight(params, boxes) <= _log2_limit(_check_n(n))
+    return _inside(log2_weight(params, boxes), _check_n(n))
 
 
 def _members(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows.tolist()))
 
 
-def _cross_rows(params: MajorantParams, n: float) -> np.ndarray:
-    """The boxes of chi(N) as a lex-sorted (m, d) int64 array.
+@lru_cache(maxsize=2)
+def _cross(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """The boxes of chi(N) as a lex-sorted (m, d) int64 array and their
+    ``log2_weight``, both read-only.
 
     Candidates grow one coordinate at a time: a prefix keeps a value s when
     its table terms plus the smallest terms of the later axes stay under the
-    prune limit.  ``in_cross`` then decides membership."""
+    prune limit.  The membership rule of ``in_cross`` then decides."""
     r, b = params.r, params.b
     # one more slack covers the rounding of a table sum against log2_weight
     limit = _log2_limit(n, slacks=2)
@@ -204,7 +220,8 @@ def _cross_rows(params: MajorantParams, n: float) -> np.ndarray:
     used = np.zeros(1)
     for i, bj in enumerate(b):
         if not len(rows):
-            return np.empty((0, params.d), dtype=np.int64)
+            rows = np.empty((0, params.d), dtype=np.int64)
+            break
         later = sum(mins[i + 1:])
         s, w = _axis_table(r, bj, limit - used.min() - later)
         keep_row, keep_s = np.nonzero(used[:, None] + w + later <= limit)
@@ -213,24 +230,31 @@ def _cross_rows(params: MajorantParams, n: float) -> np.ndarray:
                 f"hyperbolic cross at N={n} exceeds {ENUMERATION_CAP} boxes")
         rows = np.column_stack([rows[keep_row], s[keep_s]])
         used = used[keep_row] + w[keep_s]
-    return rows[in_cross(params, rows, n)]
+    log2w = log2_weight(params, rows)
+    keep = _inside(log2w, n)
+    rows, log2w = rows[keep], log2w[keep]
+    rows.setflags(write=False)
+    log2w.setflags(write=False)
+    return rows, log2w
 
 
 def chi(params: MajorantParams, n: float) -> IndexFamily:
     """Box indices of the step hyperbolic cross: all s with w(s) <= N."""
     n = _check_n(n)
-    return IndexFamily(kind="chi", n=n, members=_members(_cross_rows(params, n)))
+    return IndexFamily(kind="chi", n=n, members=_members(_cross(params, n)[0]))
 
 
-def _shell_rows(params: MajorantParams, n: float) -> np.ndarray:
-    outer = _cross_rows(params, n * 2.0 ** params.l)
-    return outer[~in_cross(params, outer, n)]
+def _shell(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of chi(2^l N) outside chi(N) and their ``log2_weight``."""
+    rows, log2w = _cross(params, n * 2.0 ** params.l)
+    out = ~_inside(log2w, n)
+    return rows[out], log2w[out]
 
 
 def theta(params: MajorantParams, n: float) -> IndexFamily:
     """The boundary shell: box indices with N < w(s) <= 2^l N."""
     n = _check_n(n)
-    return IndexFamily(kind="theta", n=n, members=_members(_shell_rows(params, n)))
+    return IndexFamily(kind="theta", n=n, members=_members(_shell(params, n)[0]))
 
 
 def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
@@ -278,7 +302,8 @@ def q_set(params: MajorantParams, n: float) -> SpectrumSet:
 
 def q_size(params: MajorantParams, n: float) -> int:
     """Exact cardinality of Q(N) as a Python integer."""
-    return sum(1 << sum(s) for s in chi(params, n))
+    rows, _ = _cross(params, _check_n(n))
+    return sum(1 << t for t in rows.sum(axis=1).tolist())
 
 
 def size_prediction(params: MajorantParams, n: float) -> float:
@@ -339,7 +364,7 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSum
     true value lies in [value, value + bound].
     """
     n = _check_series(params, n, p, beta)
-    rows = _cross_rows(params, n)
+    rows, _ = _cross(params, n)
     d, r, a = params.d, params.r, (params.r - beta) * p
     s_star = [math.ceil(-2 * bj * p / (a * math.log(2))) for bj in params.b if bj < 0]
     s_max = max([8, int(rows.max(initial=0)) + 1, *s_star])
@@ -384,5 +409,5 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSum
 def theta_sum(params: MajorantParams, n: float, p: float, beta: float) -> float:
     """The tail_sum summand w(s)^{-p} 2^{beta p |s|_1}, summed over the
     boundary shell."""
-    rows = _shell_rows(params, _check_series(params, n, p, beta))
-    return float(np.exp2(-p * (log2_weight(params, rows) - beta * rows.sum(axis=1))).sum())
+    rows, log2w = _shell(params, _check_series(params, n, p, beta))
+    return float(np.exp2(-p * (log2w - beta * rows.sum(axis=1))).sum())

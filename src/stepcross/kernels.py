@@ -12,6 +12,7 @@ is exact in floating point).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -130,6 +131,23 @@ def ks_vector(s) -> np.ndarray:
     return np.array([3 * 2 ** (sj - 2) if sj >= 2 else 1 for sj in s], dtype=np.int64)
 
 
+def _check_width(u, d: int) -> list[int]:
+    """A packet width as d Python ints >= 1; a scalar applies to every axis.
+
+    Like ``majorant.check_box_index``, an integral float counts (2.0 is 2);
+    a bool, a fraction, a non-finite or non-numeric value, or a sequence
+    without d values raises ParameterError."""
+    try:
+        us = [u] * d if np.ndim(u) == 0 else list(u)
+    except ValueError:
+        us = []
+    if len(us) != d or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+            and x == int(x) and x >= 1 for x in us):
+        raise ParameterError(f"packet width must be a positive integer per coordinate, got {u!r}")
+    return [int(x) for x in us]
+
+
 def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
     """A modulated Fejer packet inside octave s.
 
@@ -148,12 +166,7 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
                 f"default packet width needs every s_j >= 2, got {s}")
         us = [2 ** (sj - 2) for sj in s]
     else:
-        if isinstance(u, (int, np.integer)):
-            us = [int(u)] * d
-        else:
-            us = [int(x) for x in u]
-        if len(us) != d or any(x < 1 for x in us):
-            raise ParameterError(f"packet width must be a positive integer per coordinate, got {u!r}")
+        us = _check_width(u, d)
     _check_terms(math.prod(2 * uj + 1 for uj in us))
     anchor = ks_vector(s)
     if x_center is None:

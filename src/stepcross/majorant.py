@@ -43,9 +43,9 @@ __all__ = [
 class MajorantParams:
     """Parameters (d, r, b, l) of the power-log majorant.
 
-    Constraints: d >= 1, 0 < r < l, and b_j < r for every coordinate.
-    ``b`` may be given as a scalar and is broadcast to all coordinates;
-    negative entries are allowed.
+    Constraints: d >= 1, 0 < r < l, and a finite b_j < r for every
+    coordinate.  ``b`` may be given as a scalar and is broadcast to all
+    coordinates; negative entries are allowed.
     """
 
     d: int
@@ -56,12 +56,11 @@ class MajorantParams:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ParameterError(f"dimension d must be a positive integer, got {self.d!r}")
-        b = self.b
-        if isinstance(b, (int, float)):
-            b = (float(b),) * self.d
-        else:
-            b = tuple(float(x) for x in b)
-        object.__setattr__(self, "b", b)
+        b = tuple(self.b) if np.iterable(self.b) else (self.b,) * self.d
+        if not all(isinstance(bj, numbers.Real) and math.isfinite(bj) for bj in b):
+            # a NaN would also pass every comparison below and miss every cache
+            raise ParameterError(f"every b_j must be a finite number, got b={self.b!r}")
+        object.__setattr__(self, "b", tuple(float(bj) for bj in b))
         object.__setattr__(self, "r", float(self.r))
         if len(self.b) != self.d:
             raise ParameterError(f"b has {len(self.b)} entries for dimension {self.d}")
@@ -78,10 +77,7 @@ class MajorantParams:
     @classmethod
     def from_json(cls, obj: dict) -> "MajorantParams":
         try:
-            b = obj["b"]
-            return cls(d=int(obj["d"]), r=float(obj["r"]),
-                       b=tuple(float(x) for x in b) if not isinstance(b, (int, float)) else b,
-                       l=int(obj["l"]))
+            return cls(d=int(obj["d"]), r=float(obj["r"]), b=obj["b"], l=int(obj["l"]))
         except KeyError as exc:
             raise ParameterError(f"majorant config missing key {exc}") from exc
 

@@ -327,6 +327,14 @@ def test_parameter_error_is_exit_2(capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("b", ["nan,0", "-inf,0"])
+def test_non_finite_log_weight_exit_2(capsys, b):
+    code, err = exit_code(capsys, "sets", "--d", "2", "--r", "1", f"--b={b}",
+                          "--n-min", "16", "--n-max", "256")
+    assert code == 2
+    assert "finite number" in err
+
+
 def test_verify_subset_and_exit(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--quick",
                            "--sections", "identities,cross-size")

@@ -8,6 +8,7 @@ from stepcross.errors import CapacityError, ParameterError
 from stepcross.majorant import MajorantParams
 from stepcross.verify import MIXED_2D, PLAIN_2D, PLAIN_3D
 from stepcross.indexsets import (
+    _cross,
     SpectrumSet,
     rho,
     chi,
@@ -237,6 +238,9 @@ class TestQSet:
         assert isinstance(val, int)
         assert val == sum(2 ** s for s in range(1, 61))
 
+    def test_size_past_int64_is_exact(self):
+        assert q_size(P(1, 1.0, 0.0), 2.0 ** 70) == 2 ** 71 - 2
+
     def test_prediction_tracks_count(self):
         params = P(2, 1.0, (0.0, 0.0))
         ratios = [q_size(params, 2.0 ** m) / size_prediction(params, 2.0 ** m)
@@ -383,3 +387,42 @@ class TestCrossProperties:
         # log2 w(2, 4) = 6 + (1 + 2) / 3 = 7
         assert in_cross(params, [[2, 4], [4, 2]], 2 ** 7).tolist() == [True, True]
         assert in_cross(params, [[2, 4]], 2 ** 7 * (1 - 1e-9)).tolist() == [False]
+
+
+def series_results(params, n):
+    """Everything read from the shared enumeration at one (params, N)."""
+    return (list(chi(params, n)), list(theta(params, n)), q_size(params, n),
+            [(tail_sum(params, n, p, beta), theta_sum(params, n, p, beta))
+             for p in (1.0, 2.0) for beta in (0.0, params.r / 2)])
+
+
+class TestSharedEnumeration:
+    @settings(max_examples=40, deadline=None)
+    @given(small_crosses(), small_crosses())
+    def test_results_do_not_depend_on_the_cache(self, case, other):
+        _cross.cache_clear()
+        cold = series_results(*case)
+        _cross.cache_clear()
+        series_results(*other)
+        series_results(other[0], case[1])
+        assert series_results(*case) == cold
+
+    def test_cached_arrays_are_read_only(self):
+        rows, log2w = _cross(PLAIN_2D, 2.0 ** 10)
+        assert len(rows) == len(log2w) > 0
+        for arr in (rows, log2w):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_one_cross_sets_item_enumerates_twice(self):
+        # the calls one bench cross_sets item makes at one (params, N)
+        params, n = MIXED_2D, 2.0 ** 12
+        _cross.cache_clear()
+        for call in (chi, theta, theta_prime, q_size, size_prediction):
+            call(params, n)
+        chi(params, n * 2.0 ** params.l)
+        for p in (1.0, 2.0):
+            for beta in (0.0, params.r / 2):
+                tail_sum(params, n, p, beta)
+                theta_sum(params, n, p, beta)
+        assert _cross.cache_info().misses == 2

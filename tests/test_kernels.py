@@ -157,6 +157,18 @@ class TestPacket:
         assert p.n_terms == 25
         assert p.coefficient((24, 24)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("s, u", [
+        ((4,), [2.5]), ((4, 4), [2.7, 1.2]), ((4,), True), ((4,), 2.5),
+        ((4, 4), [True, 2]), ((4, 4), [2]), ((4,), "2"), ((4,), float("nan")), ((4,), 0)])
+    def test_width_checked_not_truncated(self, s, u):
+        with pytest.raises(ParameterError):
+            k_packet(s, u=u)
+
+    def test_width_takes_an_integral_float(self):
+        got, want = k_packet((4, 4), u=[2.0, np.int64(1)]), k_packet((4, 4), u=[2, 1])
+        assert np.array_equal(got.ks, want.ks) and np.array_equal(got.cs, want.cs)
+        assert got.n_terms == 15
+
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ParameterError):
             k_packet((2,), u=3)  # anchor 3, width 3 reaches k = 0

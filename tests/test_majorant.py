@@ -42,6 +42,12 @@ class TestParams:
         with pytest.raises(ParameterError):
             P(2, 1.0, (0.5,))
 
+    @pytest.mark.parametrize("b", [
+        (math.nan, 0.0), (-math.inf, 0.0), math.nan, (0.5, "a"), "0.5", None])
+    def test_rejects_non_finite_or_non_numeric_b(self, b):
+        with pytest.raises(ParameterError, match="finite number"):
+            P(2, 1.0, b)
+
     def test_negative_b_allowed(self):
         p = P(1, 0.5, -1.0)
         assert p.b == (-1.0,)
