@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, besov_norm, normalize_to_ball
-from .errors import ParameterError, UnsupportedRegimeError
+from .errors import ParameterError, UnsupportedRegimeError, check_exponent, check_int
 from .extremal import WITNESS_BUILDERS, WitnessConfig
-from .indexsets import in_cross, q_set, q_size, rho, theta
+from .indexsets import _check_n, in_cross, q_set, q_size, rho, theta
 from .majorant import MajorantParams, omega_dyadic
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, random_in_spectrum
 
@@ -63,8 +63,7 @@ def classify_regime(omega: MajorantParams, p: float, q: float, theta_: float) ->
     Anything else has no supported rate.
     """
     for name, v in (("p", p), ("q", q), ("theta", theta_)):
-        if v != math.inf and not (1 <= v < math.inf):
-            raise ParameterError(f"{name} must lie in [1, inf], got {v}")
+        check_exponent(v, name)
     d, r, b = omega.d, omega.r, omega.b
 
     if q == math.inf:
@@ -105,8 +104,7 @@ def theoretical_rate(omega: MajorantParams, regime: RateRegime, m: float) -> flo
 
 def _cross_mask(f: TrigPolynomial, omega: MajorantParams, n: float) -> np.ndarray:
     """Per-coefficient membership of f's frequencies in the cross Q(N)."""
-    if not (math.isfinite(n) and n > 0):
-        raise ParameterError(f"cross size N must be finite and positive, got {n}")
+    n = _check_n(n)
     if f.is_zero:
         return np.zeros(0, dtype=bool)
     if f.d != omega.d:
@@ -199,8 +197,8 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
     n_grid = [float(v) for v in n_grid]
     if not n_grid:
         raise ParameterError("empty N grid")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    samples = check_int(samples, "samples")
+    seed = check_int(seed, "seed", lo=0)
 
     records = []
     eff_samples = 1 if family in WITNESS_BUILDERS else samples

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_exponent
 from .kernels import band_apply
 from .majorant import MajorantParams, omega_dyadic
 from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm
@@ -52,9 +52,8 @@ class BesovParams:
     theta: float
 
     def __post_init__(self):
-        for name, v in (("p", self.p), ("theta", self.theta)):
-            if v != math.inf and not (1 <= v < math.inf):
-                raise ParameterError(f"{name} must lie in [1, inf], got {v}")
+        check_exponent(self.p, "p")
+        check_exponent(self.theta, "theta")
 
 
 def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:

@@ -148,8 +148,6 @@ def _cmd_norms(args) -> int:
 
 def _cmd_kernels(args) -> int:
     if args.family in ("fejer", "vp"):
-        if args.n < 1:
-            raise ParameterError("kernel order --n must be >= 1")
         f = fejer(args.n) if args.family == "fejer" else vallee_poussin(args.n)
         params = dict(family=args.family, n=args.n)
     elif args.family == "band":

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, check_exponent
 from .majorant import MajorantParams, check_box_index, log2_weight
 
 __all__ = [
@@ -179,8 +179,8 @@ def _axis_table(r: float, b: float, limit: float):
 
 def _check_n(n: float) -> float:
     n = float(n)
-    if not (n > 0) or math.isinf(n) or math.isnan(n):
-        raise ParameterError(f"threshold N must be a positive finite number, got {n}")
+    if not 0 < n < math.inf:
+        raise ParameterError(f"threshold N must be finite and positive, got {n}")
     return n
 
 
@@ -333,8 +333,8 @@ class TailSumResult:
 def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> float:
     if not (beta < params.r):
         raise ParameterError(f"need beta < r, got beta={beta}, r={params.r}")
-    if not (p >= 1):
-        raise ParameterError(f"need p >= 1, got {p}")
+    if check_exponent(p, "p") == math.inf:
+        raise ParameterError("the tail series needs a finite p, got p = inf")
     return _check_n(n)
 
 

@@ -12,14 +12,13 @@ is exact in floating point).
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from . import indexsets
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, check_int
 from .majorant import check_box_index
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _frequencies
 
 __all__ = [
     "fejer_coefficient",
@@ -34,12 +33,6 @@ __all__ = [
 ]
 
 
-def _check_order(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"kernel order must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _check_terms(n_terms: int) -> None:
     """Refuse a kernel of more than ``indexsets.MATERIALIZE_CAP`` terms,
     counted in Python ints before any array is allocated."""
@@ -50,7 +43,7 @@ def _check_terms(n_terms: int) -> None:
 
 def fejer_coefficient(n: int, k) -> np.ndarray:
     """Fejer spectrum: 1 - |k|/(n+1) on |k| <= n, zero beyond."""
-    n = _check_order(n)
+    n = check_int(n, "kernel order")
     k = np.abs(np.asarray(k, dtype=np.float64))
     return np.where(k <= n, 1.0 - k / (n + 1), 0.0)
 
@@ -58,7 +51,7 @@ def fejer_coefficient(n: int, k) -> np.ndarray:
 def vp_coefficient(n: int, k) -> np.ndarray:
     """De la Vallee Poussin spectrum: 1 on |k| <= n, linear ramp
     (2n - |k|)/n on n < |k| <= 2n - 1, zero beyond."""
-    n = _check_order(n)
+    n = check_int(n, "kernel order")
     k = np.abs(np.asarray(k, dtype=np.float64))
     ramp = (2.0 * n - k) / n
     return np.where(k <= n, 1.0, np.where(k <= 2 * n - 1, ramp, 0.0))
@@ -66,7 +59,7 @@ def vp_coefficient(n: int, k) -> np.ndarray:
 
 def fejer(n: int) -> TrigPolynomial:
     """The univariate Fejer kernel of order n; K_n(0) = n + 1, L1 norm 1."""
-    n = _check_order(n)
+    n = check_int(n, "kernel order")
     _check_terms(2 * n + 1)
     ks = np.arange(-n, n + 1, dtype=np.int64)
     return TrigPolynomial(ks.reshape(-1, 1), fejer_coefficient(n, ks))
@@ -74,7 +67,7 @@ def fejer(n: int) -> TrigPolynomial:
 
 def vallee_poussin(n: int) -> TrigPolynomial:
     """The univariate de la Vallee Poussin kernel of order n; V_n(0) = 3n."""
-    n = _check_order(n)
+    n = check_int(n, "kernel order")
     _check_terms(4 * n - 1)
     ks = np.arange(-(2 * n - 1), 2 * n, dtype=np.int64)
     return TrigPolynomial(ks.reshape(-1, 1), vp_coefficient(n, ks))
@@ -91,9 +84,9 @@ def _band_factor(sj: int, k: np.ndarray) -> np.ndarray:
 def band_multiplier(s, ks) -> np.ndarray:
     """Tensor band multiplier values at the given frequencies (m, d)."""
     s = check_box_index(s)
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = _frequencies(ks)
     if ks.ndim == 1:
-        ks = ks.reshape(-1, len(s)) if len(s) > 1 else ks.reshape(-1, 1)
+        ks = ks.reshape(-1, len(s))
     if ks.shape[1] != len(s):
         raise ParameterError(f"frequencies have {ks.shape[1]} coordinates, expected {len(s)}")
     out = np.ones(ks.shape[0])
@@ -131,23 +124,6 @@ def ks_vector(s) -> np.ndarray:
     return np.array([3 * 2 ** (sj - 2) if sj >= 2 else 1 for sj in s], dtype=np.int64)
 
 
-def _check_width(u, d: int) -> list[int]:
-    """A packet width as d Python ints >= 1; a scalar applies to every axis.
-
-    Like ``majorant.check_box_index``, an integral float counts (2.0 is 2);
-    a bool, a fraction, a non-finite or non-numeric value, or a sequence
-    without d values raises ParameterError."""
-    try:
-        us = [u] * d if np.ndim(u) == 0 else list(u)
-    except ValueError:
-        us = []
-    if len(us) != d or not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-            and x == int(x) and x >= 1 for x in us):
-        raise ParameterError(f"packet width must be a positive integer per coordinate, got {u!r}")
-    return [int(x) for x in us]
-
-
 def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
     """A modulated Fejer packet inside octave s.
 
@@ -155,8 +131,9 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
     tensor Fejer weights w(delta) = prod(1 - |delta_j|/(u_j + 1)) and phases
     e^{-i (delta, x_center)}, so the modulus peaks at x_center with value
     prod(u_j + 1).  The default u_j = 2^{s_j - 2} (needs s_j >= 2) keeps the
-    packet inside the two octaves at and above s.  Frequencies with a zero
-    coordinate are rejected.
+    packet inside the two octaves at and above s.  A given u is one width
+    for every axis or one per axis, each an integer >= 1 by
+    ``errors.check_int``.  Frequencies with a zero coordinate are rejected.
     """
     s = check_box_index(s)
     d = len(s)
@@ -166,7 +143,10 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
                 f"default packet width needs every s_j >= 2, got {s}")
         us = [2 ** (sj - 2) for sj in s]
     else:
-        us = _check_width(u, d)
+        us = list(u) if np.iterable(u) else [u] * d
+        if len(us) != d:
+            raise ParameterError(f"packet width has {len(us)} values, expected {d}")
+        us = [check_int(uj, "packet width") for uj in us]
     _check_terms(math.prod(2 * uj + 1 for uj in us))
     anchor = ks_vector(s)
     if x_center is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 # the audit probes t = 2^-m for m = 0..PROBE_DEPTH
 PROBE_DEPTH = 20
@@ -54,18 +54,17 @@ class MajorantParams:
     l: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ParameterError(f"dimension d must be a positive integer, got {self.d!r}")
+        object.__setattr__(self, "d", check_int(self.d, "dimension d"))
+        object.__setattr__(self, "l", check_int(self.l, "l"))
         b = tuple(self.b) if np.iterable(self.b) else (self.b,) * self.d
-        if not all(isinstance(bj, numbers.Real) and math.isfinite(bj) for bj in b):
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (self.r, *b)):
             # a NaN would also pass every comparison below and miss every cache
-            raise ParameterError(f"every b_j must be a finite number, got b={self.b!r}")
+            raise ParameterError(
+                f"r and every b_j must be finite numbers, got r={self.r!r}, b={self.b!r}")
         object.__setattr__(self, "b", tuple(float(bj) for bj in b))
         object.__setattr__(self, "r", float(self.r))
         if len(self.b) != self.d:
             raise ParameterError(f"b has {len(self.b)} entries for dimension {self.d}")
-        if not (isinstance(self.l, int) and self.l >= 1):
-            raise ParameterError(f"l must be a positive integer, got {self.l!r}")
         if not (0.0 < self.r < self.l):
             raise ParameterError(f"need 0 < r < l, got r={self.r}, l={self.l}")
         if any(bj >= self.r for bj in self.b):
@@ -77,9 +76,10 @@ class MajorantParams:
     @classmethod
     def from_json(cls, obj: dict) -> "MajorantParams":
         try:
-            return cls(d=int(obj["d"]), r=float(obj["r"]), b=obj["b"], l=int(obj["l"]))
-        except KeyError as exc:
-            raise ParameterError(f"majorant config missing key {exc}") from exc
+            return cls(d=obj["d"], r=obj["r"], b=obj["b"], l=obj["l"])
+        except (KeyError, TypeError) as exc:  # a missing key, or obj not a mapping
+            raise ParameterError(
+                f"majorant config must map each of d, r, b, l to a value, got {obj!r}") from exc
 
 
 def _factor(r: float, b: float, t: float) -> float:
@@ -112,24 +112,17 @@ def check_box_index(s, d: int | None = None) -> tuple[int, ...]:
     """A box index as a tuple of Python ints, the one check every entry point
     that takes an octave index uses.
 
-    Accepts a scalar or a flat sequence of integral numbers (2.0 is box 2);
-    raises ParameterError for a non-integral, non-finite or non-numeric
-    coordinate, one below 1 or above ``MAX_OCTAVE``, an empty index, and,
-    when ``d`` is given, an index without d coordinates.
+    Accepts a scalar or a flat sequence of coordinates that
+    ``errors.check_int`` takes in [1, ``MAX_OCTAVE``] (2.0 is box 2); raises
+    ParameterError for any other coordinate, an empty index, and, when ``d``
+    is given, an index without d coordinates.
     """
-    try:
-        arr = np.atleast_1d(np.asarray(s))
-    except ValueError as exc:
-        raise ParameterError(f"box index must be a flat sequence of integers, got {s!r}") from exc
-    coords = arr.tolist()
-    if arr.ndim != 1 or not all(
-            isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x) for x in coords):
-        raise ParameterError(f"box index coordinates must be integers, got {s!r}")
-    out = tuple(int(x) for x in coords)
+    if isinstance(s, np.ndarray):
+        s = s.tolist()
+    out = tuple(check_int(x, "box index coordinate", 1, MAX_OCTAVE)
+                for x in (s if np.iterable(s) else (s,)))
     if not out or (d is not None and len(out) != d):
         raise ParameterError(f"box index has {len(out)} coordinates, expected {d or 'at least 1'}")
-    if any(not 1 <= x <= MAX_OCTAVE for x in out):
-        raise ParameterError(f"box index coordinates must lie in [1, {MAX_OCTAVE}], got {out}")
     return out
 
 
@@ -195,10 +188,13 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
     is the finite-grid signature of an unbounded ratio.  Violations are report
     content, not exceptions.
     """
-    if not (alpha > 0):
-        raise ParameterError("alpha must be positive")
-    if not (0 < gamma < params.l):
-        raise ParameterError(f"gamma must lie in (0, l={params.l})")
+    try:
+        ok = 0 < alpha < math.inf and 0 < gamma < params.l
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"need 0 < alpha < inf and 0 < gamma < l={params.l}, "
+                             f"got alpha={alpha!r}, gamma={gamma!r}")
 
     violations: list[str] = []
     grow_tol = 1.0 + 1e-9

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .trigpoly import TrigPolynomial
 
 __all__ = ["read_polynomial", "write_polynomial", "dumps_polynomial", "loads_polynomial"]
@@ -37,11 +37,9 @@ def loads_polynomial(text: str) -> TrigPolynomial:
     if not lines or not lines[0].startswith("d="):
         raise ParameterError("polynomial text must start with a 'd=<dim>' line")
     try:
-        d = int(lines[0][2:])
-    except ValueError as exc:
-        raise ParameterError(f"bad dimension line {lines[0]!r}") from exc
-    if d < 1:
-        raise ParameterError(f"dimension must be positive, got {d}")
+        d = check_int(int(lines[0][2:]), "dimension d")
+    except ValueError as exc:  # ParameterError included
+        raise ParameterError(f"bad dimension line {lines[0]!r}: {exc}") from exc
     ks, cs = [], []
     for ln in lines[1:]:
         parts = ln.split()

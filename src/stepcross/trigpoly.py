@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, QuadratureAccuracyError
+from .errors import (CapacityError, ParameterError, QuadratureAccuracyError, check_exponent,
+                     check_int)
 from .indexsets import SpectrumSet
 from .majorant import MAX_OCTAVE
 
@@ -60,11 +61,18 @@ _OCTAVE_FLOORS = np.left_shift(np.uint64(1), np.arange(MAX_OCTAVE + 1, dtype=np.
 
 def pow2ceil(x: int) -> int:
     """Smallest power of two >= x (x an integer >= 1)."""
-    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x)):
-        raise ParameterError(f"pow2ceil needs an integer, got {x!r}")
-    if x < 1:
-        raise ParameterError(f"pow2ceil needs x >= 1, got {x}")
-    return 1 << (int(x) - 1).bit_length()
+    return 1 << (check_int(x, "pow2ceil's argument") - 1).bit_length()
+
+
+def _frequencies(ks) -> np.ndarray:
+    """ks as int64.  Float or unsigned input must hold integers inside the
+    int64 range (2.0 is 2) and is never truncated; signed integer input
+    passes unchecked."""
+    ks = np.asarray(ks)
+    if ks.dtype.kind != "i" and not (
+            ks.dtype.kind in "uf" and np.all((np.trunc(ks) == ks) & (np.abs(ks) < 2.0 ** 63))):
+        raise ParameterError("frequencies must be integers within int64")
+    return ks.astype(np.int64, copy=False)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,18 +102,19 @@ class TrigPolynomial:
     __slots__ = ("ks", "cs")
 
     def __init__(self, ks, cs):
-        ks = np.asarray(ks, dtype=np.int64)
-        cs = np.asarray(cs, dtype=np.complex128)
+        ks = _frequencies(ks)
+        try:
+            cs = np.asarray(cs, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"coefficients must be numbers: {exc}") from exc
         if ks.ndim == 1:
             ks = ks.reshape(-1, 1)
-        if ks.ndim != 2:
-            raise ParameterError("frequency array must have shape (n, d)")
+        if ks.ndim != 2 or ks.shape[1] < 1:
+            raise ParameterError(f"frequency array must have shape (n, d), d >= 1, got {ks.shape}")
         cs = cs.reshape(-1)
         if ks.shape[0] != cs.shape[0]:
             raise ParameterError(
                 f"{ks.shape[0]} frequencies vs {cs.shape[0]} coefficients")
-        if ks.shape[1] < 1:
-            raise ParameterError("dimension must be at least 1")
         if np.all(_lex_less(ks[:-1], ks[1:])):
             ks, cs = ks.copy(), cs.copy()
         else:
@@ -160,7 +169,8 @@ class TrigPolynomial:
 
     @classmethod
     def zero(cls, d: int) -> "TrigPolynomial":
-        return cls(np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.complex128))
+        return cls(np.empty((0, check_int(d, "dimension d")), dtype=np.int64),
+                   np.empty(0, dtype=np.complex128))
 
     @classmethod
     def sum_of(cls, d: int, parts) -> "TrigPolynomial":
@@ -172,7 +182,7 @@ class TrigPolynomial:
         return cls(np.concatenate([f.ks for f in parts]), np.concatenate([f.cs for f in parts]))
 
     def coefficient(self, k) -> complex:
-        k = np.asarray(k, dtype=np.int64).reshape(-1)
+        k = _frequencies(k).reshape(-1)
         if k.size != self.d:
             raise ParameterError(f"frequency has {k.size} coordinates, expected {self.d}")
         hit = np.flatnonzero(np.all(self.ks == k, axis=1))
@@ -264,17 +274,12 @@ class TrigPolynomial:
         line allocates.  In 2-D it is 16 B a point for the output plus 16 B
         times the fraction of occupied lines (16 to 26 B measured).
         """
-        sides = np.atleast_1d(np.asarray(grid_shape)).tolist()
-        if not all(isinstance(g, (int, float)) and math.isfinite(g) and g == int(g)
-                   for g in sides):
-            raise ParameterError(f"grid sides must be integers, got {grid_shape}")
-        grid_shape = tuple(int(g) for g in sides)
+        grid_shape = tuple(check_int(g, "grid side")
+                           for g in np.atleast_1d(np.asarray(grid_shape)).tolist())
         if len(grid_shape) == 1 and self.d > 1:
             grid_shape = grid_shape * self.d
         if len(grid_shape) != self.d:
             raise ParameterError(f"grid has {len(grid_shape)} axes, expected {self.d}")
-        if any(g < 1 for g in grid_shape):
-            raise ParameterError("grid sides must be positive")
         total = math.prod(grid_shape)
         if total > MAX_GRID_POINTS:
             raise CapacityError(f"grid of {total} points exceeds the cap {MAX_GRID_POINTS}")
@@ -319,14 +324,12 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
     uniform phase.  ``seed`` feeds a dedicated generator, so results are
     reproducible and independent of call order.
     """
-    if isinstance(spectrum, SpectrumSet):
-        ks = spectrum.materialize()
-    else:
-        ks = np.asarray(spectrum, dtype=np.int64)
-        if ks.ndim == 1:
-            ks = ks.reshape(-1, 1)
-    rng = np.random.default_rng(seed)
-    n = ks.shape[0]
+    ks = spectrum.materialize() if isinstance(spectrum, SpectrumSet) else spectrum
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"unusable seed {seed!r}: {exc}") from exc
+    n = len(ks)  # rows, or the frequencies of a flat 1-D spectrum
     if law == "gaussian":
         cs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     elif law == "unit_complex":
@@ -438,8 +441,7 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     largest value sampled on any grid, a lower estimate of the true sup.
     """
     quad = quad or QuadratureSpec()
-    if p != math.inf and not (p >= 1):
-        raise ParameterError(f"need p >= 1 or p = inf, got {p}")
+    check_exponent(p, "p")
     if f.is_zero:
         return 0.0
     if p == 2:
@@ -499,7 +501,7 @@ def nikolskii_check(f: TrigPolynomial, q: float, p: float,
     where n_j is the coordinatewise degree (floored at 1).  Returns both
     sides; ``passed`` allows 1e-9 relative slack for quadrature rounding.
     """
-    if not (1 <= q) or not (q < p):
+    if not check_exponent(q, "q") < check_exponent(p, "p"):
         raise ParameterError(f"need 1 <= q < p, got q={q}, p={p}")
     lhs = lp_norm(f, p, quad)
     rhs_q = lp_norm(f, q, quad)

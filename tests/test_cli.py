@@ -327,6 +327,25 @@ def test_parameter_error_is_exit_2(capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lemmas", "--p", "inf", "--n-max", "256"),  # once a ZeroDivisionError, exit 1
+    ("lemmas", "--alpha", "inf", "--n-max", "256"),  # once a NaN constant, exit 0
+    ("lemmas", "--gamma", "nan", "--n-max", "256"),
+    ("kernels", "--family", "fejer", "--n", "0"),
+    ("kernels", "--family", "vp", "--n", "-3"),
+    ("kernels", "--family", "packet", "--s", "4", "--u", "0"),
+    ("rates", "--family", "random_ball", "--seed", "-1"),  # once a raw ValueError
+    ("rates", "--samples", "0"),
+    ("norms", "--poly", "-", "--p", "2", "--theta", "0.5", "--r", "1"),
+])
+def test_refused_numbers_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "f.poly"
+    path.write_text("d=2\n1 2 1.0 0.0\n")
+    code, err = exit_code(capsys, *[str(path) if a == "-" else a for a in argv])
+    assert code == 2
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("b", ["nan,0", "-inf,0"])
 def test_non_finite_log_weight_exit_2(capsys, b):
     code, err = exit_code(capsys, "sets", "--d", "2", "--r", "1", f"--b={b}",
