@@ -92,10 +92,9 @@ def classify_regime(omega: MajorantParams, p: float, q: float, theta_: float) ->
     return RateRegime(p, q, theta_, "small_p", main, lam)
 
 
-def theoretical_rate(omega: MajorantParams, regime: RateRegime, m: float) -> float:
+def theoretical_rate(omega: MajorantParams, regime: RateRegime, m: int) -> float:
     """Predicted error M^{-main} (log2 M)^{log_expo} for M >= 4 frequencies."""
-    if not (m >= 4):
-        raise ParameterError(f"rate formula needs M >= 4, got {m}")
+    m = check_int(m, "the frequency count M", lo=4)
     check = classify_regime(omega, regime.p, regime.q, regime.theta)
     if (check.main_exponent, check.log_exponent) != (regime.main_exponent, regime.log_exponent):
         raise ParameterError("regime exponents do not match the given majorant")
@@ -194,7 +193,7 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
     """
     regime = classify_regime(omega, bp.p, q, bp.theta)
     _validate_family(family, regime, bp)
-    n_grid = [float(v) for v in n_grid]
+    n_grid = [_check_n(v) for v in n_grid]
     if not n_grid:
         raise ParameterError("empty N grid")
     samples = check_int(samples, "samples")

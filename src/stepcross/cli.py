@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .approx import SAMPLE_FAMILIES, fit_rate, rate_experiment
 from .besov import BesovParams, besov_norm
-from .errors import CapacityError, ParameterError, QuadratureAccuracyError
+from .errors import CapacityError, ParameterError, QuadratureAccuracyError, check_real
 from .extremal import WITNESS_BUILDERS, WitnessConfig, g6_peak_value
 from .indexsets import chi, q_size, size_prediction, tail_sum, theta, theta_prime, theta_sum
 from .kernels import band_kernel, fejer, k_packet, vallee_poussin
@@ -61,8 +60,8 @@ def _omega(args) -> MajorantParams:
 
 
 def _n_grid(n_min: float, n_max: float) -> list[float]:
-    if not (1 < n_min <= n_max < math.inf):
-        raise ParameterError(f"need 1 < n_min <= n_max < inf, got {n_min}, {n_max}")
+    if not check_real(n_min, "n_min", lo=1) <= check_real(n_max, "n_max"):
+        raise ParameterError(f"need n_min <= n_max, got {n_min}, {n_max}")
     grid, n = [], float(n_min)
     while n <= n_max * (1 + 1e-12):
         grid.append(n)
@@ -151,11 +150,11 @@ def _cmd_kernels(args) -> int:
         f = fejer(args.n) if args.family == "fejer" else vallee_poussin(args.n)
         params = dict(family=args.family, n=args.n)
     elif args.family == "band":
-        s = _parse_list(args.s, int, "octave index")
+        s = _parse_list(args.s, float, "octave index")
         f = band_kernel(s)
         params = dict(family="band", s=args.s)
     elif args.family == "packet":
-        s = _parse_list(args.s, int, "octave index")
+        s = _parse_list(args.s, float, "octave index")
         f = k_packet(s, u=args.u)
         params = dict(family="packet", s=args.s, u="default" if args.u is None else args.u)
     else:

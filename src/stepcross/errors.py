@@ -1,12 +1,17 @@
-"""Exception types shared across the library, and the two input rules every
-entry point applies: ``check_int`` for counts and indices, ``check_exponent``
-for integrability and summation exponents.
+"""Exception types shared across the library, and the three input rules
+every entry point applies: ``check_int`` for counts and indices,
+``check_exponent`` for integrability and summation exponents, and
+``check_real`` for thresholds, tolerances and majorant parameters, with its
+vector form ``check_point`` for shifts, centres and evaluation points.
 
 The CLI maps these onto process exit codes: parameter/usage problems -> 2,
 quadrature tolerance failures -> 3, capacity overruns -> 4.
 """
 
+import math
 import numbers
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -53,3 +58,31 @@ def check_exponent(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x >= 1:
         raise ParameterError(f"need {what} >= 1 or {what} = inf, got {x!r}")
     return float(x)
+
+
+def check_real(x, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """x as a finite float with lo < x < hi; a bool, a string, NaN or an
+    infinity raises ParameterError."""
+    v = x
+    if type(v) is not float:  # a float needs no conversion
+        real = isinstance(x, (int, numbers.Real))  # int skips the slow ABC check
+        try:
+            v = float(x) if real and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an int past the float range
+            v = math.nan
+    if not lo < v < hi:  # also false for NaN and for an infinity
+        need = ("finite and positive" if (lo, hi) == (0, math.inf)
+                else f"a finite number in ({lo}, {hi})")
+        raise ParameterError(f"{what} must be {need}, got {x!r}")
+    return v
+
+
+def check_point(x, what: str, d: int, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+    """A vector of R^d as floats: a scalar when d = 1, or a flat sequence or
+    array of d coordinates that ``check_real`` takes in (lo, hi)."""
+    if isinstance(x, np.ndarray):
+        x = x.reshape(-1).tolist()
+    v = [check_real(c, f"{what} coordinate", lo, hi) for c in (x if np.iterable(x) else (x,))]
+    if len(v) != d:
+        raise ParameterError(f"{what} has {len(v)} coordinates, expected {d}")
+    return np.array(v)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .besov import BesovParams
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 from .indexsets import _tensor_rows, theta, theta_prime
 from .kernels import k_packet, ks_vector
 from .majorant import MajorantParams
@@ -52,8 +52,7 @@ class WitnessConfig:
     n: float
 
     def __post_init__(self):
-        if not (self.n > 1):
-            raise ParameterError(f"witness threshold N must exceed 1, got {self.n}")
+        object.__setattr__(self, "n", check_real(self.n, "witness threshold N", lo=1))
 
     @property
     def log_n(self) -> float:

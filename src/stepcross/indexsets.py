@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, check_exponent
+from .errors import CapacityError, ParameterError, check_exponent, check_real
 from .majorant import MajorantParams, check_box_index, log2_weight
 
 __all__ = [
@@ -178,10 +178,8 @@ def _axis_table(r: float, b: float, limit: float):
 
 
 def _check_n(n: float) -> float:
-    n = float(n)
-    if not 0 < n < math.inf:
-        raise ParameterError(f"threshold N must be finite and positive, got {n}")
-    return n
+    """The threshold N of every cross, shell and projection entry point."""
+    return check_real(n, "threshold N", 0)
 
 
 def _log2_limit(n: float, slacks: int = 1) -> float:
@@ -331,11 +329,19 @@ class TailSumResult:
 
 
 def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> float:
-    if not (beta < params.r):
-        raise ParameterError(f"need beta < r, got beta={beta}, r={params.r}")
+    check_real(beta, "beta", hi=params.r)
     if check_exponent(p, "p") == math.inf:
         raise ParameterError("the tail series needs a finite p, got p = inf")
     return _check_n(n)
+
+
+def _series_terms(y: np.ndarray) -> np.ndarray:
+    """2^y for the exponents y of tail-series terms.  A term that underflows
+    to 0 (y <= -1075) would drop out of the sum and of its bound, and one
+    that overflows (y >= 1024) is inf, so either raises."""
+    if y.size and not -1075 < y.min() <= y.max() < 1024:
+        raise CapacityError("a tail-series term underflows to 0 or overflows")
+    return np.exp2(y)
 
 
 def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSumResult:
@@ -374,7 +380,7 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSum
         s = np.arange(1, s_max + 1)
         terms, pre, suf, worst = [], [], [], 0.0
         for bj, t in zip(params.b, top):
-            g = np.exp2(-p * (r * s + bj * np.log2(s) - beta * s))
+            g = _series_terms(-p * (r * s + bj * np.log2(s) - beta * s))
             ratio = 2.0 ** (-a if bj >= 0 else -a / 2)
             terms.append(g)
             pre.append(np.concatenate([[0.0], np.cumsum(g)]))
@@ -410,4 +416,4 @@ def theta_sum(params: MajorantParams, n: float, p: float, beta: float) -> float:
     """The tail_sum summand w(s)^{-p} 2^{beta p |s|_1}, summed over the
     boundary shell."""
     rows, log2w = _shell(params, _check_series(params, n, p, beta))
-    return float(np.exp2(-p * (log2w - beta * rows.sum(axis=1))).sum())
+    return float(_series_terms(-p * (log2w - beta * rows.sum(axis=1))).sum())

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import indexsets
-from .errors import CapacityError, ParameterError, check_int
+from .errors import CapacityError, ParameterError, check_int, check_point
 from .majorant import check_box_index
 from .trigpoly import TrigPolynomial, _frequencies
 
@@ -149,11 +149,7 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
         us = [check_int(uj, "packet width") for uj in us]
     _check_terms(math.prod(2 * uj + 1 for uj in us))
     anchor = ks_vector(s)
-    if x_center is None:
-        x_center = np.zeros(d)
-    x_center = np.asarray(x_center, dtype=float).reshape(-1)
-    if x_center.size != d:
-        raise ParameterError(f"center has {x_center.size} coordinates, expected {d}")
+    x_center = np.zeros(d) if x_center is None else check_point(x_center, "center", d)
 
     for j, (aj, uj) in enumerate(zip(anchor, us)):
         if aj - uj <= 0:

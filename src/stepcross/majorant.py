@@ -13,12 +13,11 @@ computation downstream.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_point, check_real
 
 # the audit probes t = 2^-m for m = 0..PROBE_DEPTH
 PROBE_DEPTH = 20
@@ -56,19 +55,9 @@ class MajorantParams:
     def __post_init__(self):
         object.__setattr__(self, "d", check_int(self.d, "dimension d"))
         object.__setattr__(self, "l", check_int(self.l, "l"))
-        b = tuple(self.b) if np.iterable(self.b) else (self.b,) * self.d
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (self.r, *b)):
-            # a NaN would also pass every comparison below and miss every cache
-            raise ParameterError(
-                f"r and every b_j must be finite numbers, got r={self.r!r}, b={self.b!r}")
-        object.__setattr__(self, "b", tuple(float(bj) for bj in b))
-        object.__setattr__(self, "r", float(self.r))
-        if len(self.b) != self.d:
-            raise ParameterError(f"b has {len(self.b)} entries for dimension {self.d}")
-        if not (0.0 < self.r < self.l):
-            raise ParameterError(f"need 0 < r < l, got r={self.r}, l={self.l}")
-        if any(bj >= self.r for bj in self.b):
-            raise ParameterError(f"every b_j must be < r={self.r}, got b={self.b}")
+        object.__setattr__(self, "r", check_real(self.r, "r", 0, self.l))
+        b = self.b if np.iterable(self.b) else (self.b,) * self.d
+        object.__setattr__(self, "b", tuple(check_point(b, "b", self.d, hi=self.r).tolist()))
 
     def to_json(self) -> dict:
         return {"d": self.d, "r": self.r, "b": list(self.b), "l": self.l}
@@ -95,9 +84,7 @@ def omega_eval(params: MajorantParams, t) -> float:
     (the log clamp makes the factor plain ``t^r`` there), negative ones are
     rejected.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.size != params.d:
-        raise ParameterError(f"point has {t.size} coordinates, expected {params.d}")
+    t = check_point(t, "point", params.d)
     if np.any(t < 0):
         raise ParameterError("majorant argument coordinates must be >= 0")
     if np.any(t == 0):
@@ -188,13 +175,8 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
     is the finite-grid signature of an unbounded ratio.  Violations are report
     content, not exceptions.
     """
-    try:
-        ok = 0 < alpha < math.inf and 0 < gamma < params.l
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ParameterError(f"need 0 < alpha < inf and 0 < gamma < l={params.l}, "
-                             f"got alpha={alpha!r}, gamma={gamma!r}")
+    alpha = check_real(alpha, "alpha", lo=0)
+    gamma = check_real(gamma, "gamma", 0, params.l)
 
     violations: list[str] = []
     grow_tol = 1.0 + 1e-9

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CapacityError, ParameterError, QuadratureAccuracyError, check_exponent,
-                     check_int)
+                     check_int, check_point, check_real)
 from .indexsets import SpectrumSet
 from .majorant import MAX_OCTAVE
 
@@ -227,11 +226,7 @@ class TrigPolynomial:
 
     def translate(self, x0) -> "TrigPolynomial":
         """The shifted function x -> f(x - x0)."""
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != self.d:
-            raise ParameterError(f"shift has {x0.size} coordinates, expected {self.d}")
-        if not np.all(np.isfinite(x0)):
-            raise ParameterError(f"shift must be finite, got {x0}")
+        x0 = check_point(x0, "shift", self.d)
         return TrigPolynomial._canonical(self.ks, self.cs * np.exp(-1j * (self.ks @ x0)))
 
     def restrict(self, mask) -> "TrigPolynomial":
@@ -325,6 +320,8 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
     reproducible and independent of call order.
     """
     ks = spectrum.materialize() if isinstance(spectrum, SpectrumSet) else spectrum
+    if np.ndim(ks) == 0:
+        raise ParameterError(f"spectrum must be a SpectrumSet or frequency rows, got {ks!r}")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -355,8 +352,7 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.rel_tol, numbers.Real) or not (0 < self.rel_tol < 1):
-            raise ParameterError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
+        object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", 0, 1))
 
 
 def _abs_power_mean(values: np.ndarray, p: float) -> float:

@@ -337,6 +337,15 @@ def test_parameter_error_is_exit_2(capsys):
     ("rates", "--family", "random_ball", "--seed", "-1"),  # once a raw ValueError
     ("rates", "--samples", "0"),
     ("norms", "--poly", "-", "--p", "2", "--theta", "0.5", "--r", "1"),
+    ("norms", "--poly", "-", "--rel-tol", "1"),
+    ("lemmas", "--beta", "nan", "--n-max", "256"),
+    ("lemmas", "--beta", "1", "--r", "1", "--n-max", "256"),  # needs beta < r
+    ("lemmas", "--alpha", "0", "--n-max", "256"),
+    ("sets", "--r", "inf"),
+    ("sets", "--b", "1", "--r", "1"),  # needs b_j < r
+    ("sets", "--n-min", "nan"),
+    ("sets", "--n-max", "inf"),
+    ("witness", "--n", "1"),
 ])
 def test_refused_numbers_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "f.poly"
@@ -344,6 +353,25 @@ def test_refused_numbers_exit_2(tmp_path, capsys, argv):
     code, err = exit_code(capsys, *[str(path) if a == "-" else a for a in argv])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_underflowed_tail_exit_4(capsys):
+    # every tail term underflows to 0: once a ZeroDivisionError, exit 1
+    code, err = exit_code(capsys, "lemmas", "--beta=-1e3", "--n-max", "256")
+    assert code == 4
+    assert "underflows" in err
+
+
+@pytest.mark.parametrize("family", ["band", "packet"])
+def test_kernels_integral_float_index(capsys, family):
+    # check_box_index takes 2.0 as box 2; --s once parsed it with int
+    code, out, _ = run_cli(capsys, "kernels", "--family", family, "--s", "2.0,3")
+    assert code == 0
+    _, want, _ = run_cli(capsys, "kernels", "--family", family, "--s", "2,3")
+    assert out.replace("s=2.0,3", "s=2,3") == want
+    code, err = exit_code(capsys, "kernels", "--family", family, "--s", "2.5,3")
+    assert code == 2
+    assert "box index coordinate takes integers in [1, 63], got 2.5" in err
 
 
 @pytest.mark.parametrize("b", ["nan,0", "-inf,0"])
