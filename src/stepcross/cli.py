@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,7 +118,8 @@ def _cmd_lemmas(args) -> int:
     for n in _n_grid(args.n_min, args.n_max):
         res = tail_sum(om, n, args.p, args.beta)
         shell = theta_sum(om, n, args.p, args.beta)
-        row = (n, res.value, res.bound, shell, res.value / shell)
+        # an empty shell (2^l N below the weight of box (1, ..., 1)) sums to 0
+        row = (n, res.value, res.bound, shell, res.value / shell if shell else math.inf)
         lines.append(",".join(fmt_value(v) for v in row))
     _emit(args.out, "\n".join(lines) + "\n")
     return 0 if audit.all_ok else 3

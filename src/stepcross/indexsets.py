@@ -2,8 +2,10 @@
 hyperbolic cross, its boundary shells, and the tail sums they control.
 
 Everything here works in log2 space.  A box index s in N^d (all s_j >= 1)
-carries the weight w(s) = prod_j 2^{r s_j} s_j^{b_j}, computed as
-log2 w(s) = r |s|_1 + sum_j b_j log2 s_j by ``majorant.log2_weight``.
+carries the weight w(s) = prod_j 2^{r s_j} s_j^{b_j}, and
+log2 w(s) = sum_j (r s_j + b_j log2 s_j) is the row sum that
+``majorant.log2_weight`` takes of the majorant's one per-axis term; the
+per-axis tables and the tail series read the same term.
 ``in_cross`` is the only place a box is judged inside or outside a cross,
 here and in ``approx.project_q``: s lies in chi(N) when
 
@@ -29,7 +31,9 @@ w(s)^{-p} 2^{beta p |s|_1} = 2^{-p (log2 w(s) - beta |s|_1)}.  ``theta_sum``
 takes it from the cached weights of the shell rows.  ``tail_sum`` adds only
 positive terms: it splits the boxes outside chi(N) by the first axis where
 they leave the cross rows and sums each piece from per-axis prefix and
-suffix sums, so nothing is subtracted.
+suffix sums, so nothing is subtracted.  Both series, like the shell top
+2^l N, leave log2 space through the majorant's one range rule: a term that
+underflows to 0 or overflows raises CapacityError.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CapacityError, ParameterError, check_exponent, check_real
-from .majorant import MajorantParams, check_box_index, log2_weight
+from .majorant import MajorantParams, _axis_log2_weight, _exp2, check_box_index, log2_weight
 
 __all__ = [
     "SpectrumSet",
@@ -169,7 +173,7 @@ def _axis_table(r: float, b: float, limit: float):
     k = max(8, _turning_point(r, b) + 1)
     while True:
         s = np.arange(1, k + 1)
-        w = r * s + b * np.log2(s)
+        w = _axis_log2_weight(r, b, s)
         if w[-1] > limit:
             return s, w
         if k > 10 ** 6:
@@ -244,7 +248,7 @@ def chi(params: MajorantParams, n: float) -> IndexFamily:
 
 def _shell(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
     """The rows of chi(2^l N) outside chi(N) and their ``log2_weight``."""
-    rows, log2w = _cross(params, n * 2.0 ** params.l)
+    rows, log2w = _cross(params, n * _exp2(float(params.l)))
     out = ~_inside(log2w, n)
     return rows[out], log2w[out]
 
@@ -287,7 +291,7 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
         outside = ~in_cross(params, cand, n).reshape(len(block), s.size)
         last[i:i + step] = s[outside.argmax(axis=1)]
     rows = np.column_stack([prefixes, last])
-    rows = rows[in_cross(params, rows, n * 2.0 ** params.l) & (last >= lo)]
+    rows = rows[in_cross(params, rows, n * _exp2(float(params.l))) & (last >= lo)]
     return IndexFamily(kind="theta_prime", n=n, members=_members(rows))
 
 
@@ -335,15 +339,6 @@ def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> fl
     return _check_n(n)
 
 
-def _series_terms(y: np.ndarray) -> np.ndarray:
-    """2^y for the exponents y of tail-series terms.  A term that underflows
-    to 0 (y <= -1075) would drop out of the sum and of its bound, and one
-    that overflows (y >= 1024) is inf, so either raises."""
-    if y.size and not -1075 < y.min() <= y.max() < 1024:
-        raise CapacityError("a tail-series term underflows to 0 or overflows")
-    return np.exp2(y)
-
-
 def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSumResult:
     """Sum of w(s)^{-p} 2^{beta p |s|_1} over all boxes s outside chi(N),
     with a bound that covers truncation and rounding.  Only positive terms
@@ -380,7 +375,7 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSum
         s = np.arange(1, s_max + 1)
         terms, pre, suf, worst = [], [], [], 0.0
         for bj, t in zip(params.b, top):
-            g = _series_terms(-p * (r * s + bj * np.log2(s) - beta * s))
+            g = _exp2(-p * (_axis_log2_weight(r, bj, s) - beta * s))
             ratio = 2.0 ** (-a if bj >= 0 else -a / 2)
             terms.append(g)
             pre.append(np.concatenate([[0.0], np.cumsum(g)]))
@@ -416,4 +411,4 @@ def theta_sum(params: MajorantParams, n: float, p: float, beta: float) -> float:
     """The tail_sum summand w(s)^{-p} 2^{beta p |s|_1}, summed over the
     boundary shell."""
     rows, log2w = _shell(params, _check_series(params, n, p, beta))
-    return float(_series_terms(-p * (log2w - beta * rows.sum(axis=1))).sum())
+    return float(_exp2(-p * (log2w - beta * rows.sum(axis=1))).sum())

@@ -8,6 +8,13 @@ with omega(t) = 0 as soon as some t_j = 0.  All logarithms in this library
 are base 2.  On dyadic points t = 2^{-s} with integer s_j >= 1 this reduces
 to ``prod_j 2^{-r s_j} s_j^{-b_j}``, the form used by every index-set
 computation downstream.
+
+Every weight is computed in log2 by one function, ``_axis_log2_weight``: the
+per-axis term r sigma + b log2 max(1, sigma) at sigma = log2(1/t), which at
+an octave index sigma = s_j is the box term r s_j + b_j log2 s_j.  The
+majorant, the box weight, the cross tables, the tail series and the audit
+all read it, and every value that leaves log2 space goes through one range
+rule, ``_exp2``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_point, check_real
+from .errors import CapacityError, ParameterError, check_int, check_point, check_real
 
 # the audit probes t = 2^-m for m = 0..PROBE_DEPTH
 PROBE_DEPTH = 20
@@ -71,10 +78,30 @@ class MajorantParams:
                 f"majorant config must map each of d, r, b, l to a value, got {obj!r}") from exc
 
 
-def _factor(r: float, b: float, t: float) -> float:
-    # One coordinate's contribution t^r / max(1, log2(1/t))^b for t > 0.
-    lg = max(1.0, -math.log2(t)) if t < 1.0 else 1.0
-    return t ** r / lg ** b
+def _axis_log2_weight(r: float, b, sigma) -> np.ndarray:
+    """The per-axis term r sigma + b log2 max(1, sigma) of -log2 omega at
+    sigma = log2(1/t_j), elementwise over an array ``sigma`` (``b`` a scalar
+    or one exponent per coordinate of the last axis).  The one spelling of
+    the weight: at an octave index sigma = s_j >= 1 it is the box term
+    r s_j + b_j log2 s_j."""
+    term = np.maximum(sigma, 1.0)
+    np.log2(term, out=term)
+    term *= b
+    term += r * sigma
+    return term
+
+
+def _exp2(y):
+    """2^y for a float or an array of exponents, the one way a weight leaves
+    log2 space.  A value that underflows to 0 (y <= -1075) would vanish
+    silently and one that overflows (y >= 1024) is inf, so either raises
+    CapacityError."""
+    if isinstance(y, float):
+        if -1075 < y < 1024:
+            return 2.0 ** y
+    elif -1075 < y.min(initial=0.0) and y.max(initial=0.0) < 1024:
+        return np.exp2(y)
+    raise CapacityError("a weight term 2^y underflows to 0 or overflows the float range")
 
 
 def omega_eval(params: MajorantParams, t) -> float:
@@ -82,17 +109,14 @@ def omega_eval(params: MajorantParams, t) -> float:
 
     Returns 0 when any coordinate vanishes.  Coordinates above 1 are legal
     (the log clamp makes the factor plain ``t^r`` there), negative ones are
-    rejected.
+    rejected.  A value outside the float range raises CapacityError.
     """
     t = check_point(t, "point", params.d)
     if np.any(t < 0):
         raise ParameterError("majorant argument coordinates must be >= 0")
     if np.any(t == 0):
         return 0.0
-    out = 1.0
-    for tj, bj in zip(t, params.b):
-        out *= _factor(params.r, bj, float(tj))
-    return out
+    return _exp2(-float(_axis_log2_weight(params.r, params.b, -np.log2(t)).sum()))
 
 
 def check_box_index(s, d: int | None = None) -> tuple[int, ...]:
@@ -114,23 +138,29 @@ def check_box_index(s, d: int | None = None) -> tuple[int, ...]:
 
 
 def omega_dyadic(params: MajorantParams, s) -> float:
-    """omega at the dyadic point 2^{-s}: prod_j 2^{-r s_j} s_j^{-b_j}."""
-    return 2.0 ** log2_omega_dyadic(params, s)
+    """omega at the dyadic point 2^{-s}: prod_j 2^{-r s_j} s_j^{-b_j}.  A
+    value outside the float range raises CapacityError."""
+    return _exp2(log2_omega_dyadic(params, s))
 
 
 def log2_omega_dyadic(params: MajorantParams, s) -> float:
-    """log2 of omega_dyadic, that is -log2 w(s) for one validated box index."""
-    return float(-log2_weight(params, [check_box_index(s, params.d)])[0])
+    """log2 of omega_dyadic, that is -log2 w(s) for one validated box index:
+    the row sum of ``log2_weight`` for one row, without its column loop."""
+    s = np.array(check_box_index(s, params.d))
+    return -float(_axis_log2_weight(params.r, params.b, s).sum())
 
 
 def log2_weight(params: MajorantParams, boxes) -> np.ndarray:
-    """log2 w(s) = r |s|_1 + sum_j b_j log2 s_j for every row of an (m, d)
-    array of box indices (all s_j >= 1, unchecked).  This is the only place
-    the box weight is computed; cross membership compares it against log2 N
+    """log2 w(s) = sum_j (r s_j + b_j log2 s_j) for every row of an (m, d)
+    array of box indices (all s_j >= 1, unchecked), the row sum of
+    ``_axis_log2_weight``.  Cross membership compares it against log2 N
     through ``indexsets.in_cross``."""
-    boxes = np.asarray(boxes, dtype=float)
-    b = np.asarray(params.b)
-    return params.r * boxes.sum(axis=1) + (b * np.log2(boxes)).sum(axis=1)
+    boxes = np.asarray(boxes)
+    out = np.zeros(len(boxes))
+    # one column at a time: no (m, d) temporary
+    for j, bj in enumerate(params.b):
+        out += _axis_log2_weight(params.r, bj, boxes[:, j])
+    return out
 
 
 @dataclass
@@ -153,14 +183,16 @@ class MajorantAuditReport:
         return self.monotone_ok and self.scaling_ok and self.s_condition_ok and self.sl_condition_ok
 
 
-def _pair_constants(values: np.ndarray):
-    # values[m] = psi(2^{-m}); smallest C1 with psi(m1) <= C1 psi(m2) over m1 >= m2,
-    # and largest C2 with psi(m1) >= C2 psi(m2) over the same pairs.
-    running_min = np.minimum.accumulate(values)
-    running_max = np.maximum.accumulate(values)
-    c1 = float(max(1.0, np.max(values / running_min)))
-    c2 = float(min(1.0, np.min(values / running_max)))
-    return c1, c2
+def _log2_c1(lv: np.ndarray) -> float:
+    # lv[m] = log2 psi(2^{-m}): log2 of the smallest C1 with psi(m1) <= C1 psi(m2)
+    # over m1 >= m2 (>= 0, from m1 = m2).  -_log2_c1(-lv) is log2 of the largest
+    # C2 with psi(m1) >= C2 psi(m2) over the same pairs.
+    return float(np.max(lv - np.minimum.accumulate(lv)))
+
+
+def _constant(y: float) -> float:
+    # an audit constant 2^y; one past the float range is reported as inf
+    return 2.0 ** y if y < 1024 else math.inf
 
 
 def verify_majorant_axioms(params: MajorantParams, alpha: float,
@@ -172,73 +204,68 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
     increasing in tau = 2^{-m} (constant C1) and psi_L(m) = factor * 2^{gamma m}
     almost decreasing (constant C2).  A condition is flagged when its constant
     is still growing as the probe grid deepens (compared at half depth), which
-    is the finite-grid signature of an unbounded ratio.  Violations are report
+    is the finite-grid signature of an unbounded ratio.  Every comparison is
+    made between log2 values, so no valid majorant makes the audit raise; a
+    C1 past the float range is reported as inf.  Violations are report
     content, not exceptions.
     """
     alpha = check_real(alpha, "alpha", lo=0)
     gamma = check_real(gamma, "gamma", 0, params.l)
 
     violations: list[str] = []
-    grow_tol = 1.0 + 1e-9
+    # the relative tolerances 1 + 1e-12 of a comparison and 1 + 1e-9 of a growth
+    tol, grow_tol = math.log2(1 + 1e-12), math.log2(1 + 1e-9)
+    r = params.r
+    m_grid = np.arange(PROBE_DEPTH + 1, dtype=float)
+    # log2 of each coordinate's factor at the probes t = 2^-m, m = 0..depth
+    probes = [-_axis_log2_weight(r, bj, m_grid) for bj in params.b]
 
     # Condition 2: each factor nondecreasing in t on the dyadic grid.
     monotone_ok = True
-    for j, bj in enumerate(params.b):
-        vals = [_factor(params.r, bj, 2.0 ** -m) for m in range(PROBE_DEPTH + 1)]
-        for m in range(PROBE_DEPTH):
-            if vals[m + 1] > vals[m] * (1 + 1e-12):
-                monotone_ok = False
-                violations.append(
-                    f"monotonicity: coordinate {j} increases from t=2^-{m + 1} to t=2^-{m}")
-                break
+    for j, lf in enumerate(probes):
+        rises = np.flatnonzero(np.diff(lf) > tol)
+        if rises.size:
+            monotone_ok = False
+            violations.append(
+                f"monotonicity: coordinate {j} increases from t=2^-{rises[0] + 1} to t=2^-{rises[0]}")
 
-    # Condition 3: omega(m*t) <= (prod m_j)^l * omega(t) for integer multipliers.
+    # Condition 3: omega(m*t) <= (prod m_j)^l * omega(t) for integer multipliers,
+    # one coordinate at a time at t_j = 2^-depth with mult * t_j <= 1; the
+    # other factors cancel.
     scaling_ok = True
-    mults = (1, 2, 3, 4, 5, 8, 16, 32, 64, 2 ** PROBE_DEPTH)
-    depths = (1, 2, 3, 5, 8, PROBE_DEPTH)
-    for j in range(params.d):
-        for m_exp in depths:
-            t = np.full(params.d, 0.5)
-            t[j] = 2.0 ** -m_exp
-            base = omega_eval(params, t)
-            for mult in mults:
-                scaled = np.minimum(t * np.where(np.arange(params.d) == j, mult, 1), 1.0)
-                if mult * t[j] > 1.0:
-                    continue
-                lhs = omega_eval(params, scaled)
-                if lhs > mult ** params.l * base * (1 + 1e-12):
-                    scaling_ok = False
-                    violations.append(
-                        f"scaling: coordinate {j}, t_j=2^-{m_exp}, multiplier {mult}")
+    depth, mult = np.array([(m_exp, k) for m_exp in (1, 2, 3, 5, 8, PROBE_DEPTH)
+                            for k in (1, 2, 3, 4, 5, 8, 16, 32, 64, 2 ** PROBE_DEPTH)
+                            if k <= 2 ** m_exp], dtype=float).T
+    log2_mult = np.log2(mult)
+    for j, bj in enumerate(params.b):
+        gain = _axis_log2_weight(r, bj, depth) - _axis_log2_weight(r, bj, depth - log2_mult)
+        for i in np.flatnonzero(gain > params.l * log2_mult + tol):
+            scaling_ok = False
+            violations.append(
+                f"scaling: coordinate {j}, t_j=2^-{int(depth[i])}, multiplier {int(mult[i])}")
 
     # (S) and its counterpart, per coordinate on tau = 2^-m, m = 0..depth.
-    s_ok = True
-    sl_ok = True
-    c1_all = 1.0
-    c2_all = 1.0
-    half = PROBE_DEPTH // 2
-    for j, bj in enumerate(params.b):
-        m_grid = np.arange(PROBE_DEPTH + 1, dtype=float)
-        factors = np.array([_factor(params.r, bj, 2.0 ** -m) for m in m_grid])
-        psi_s = factors * 2.0 ** (alpha * m_grid)
-        psi_l = factors * 2.0 ** (gamma * m_grid)
-        c1_full, _ = _pair_constants(psi_s)
-        c1_half, _ = _pair_constants(psi_s[: half + 1])
-        _, c2_full = _pair_constants(psi_l)
-        _, c2_half = _pair_constants(psi_l[: half + 1])
-        c1_all = max(c1_all, c1_full)
-        c2_all = min(c2_all, c2_full)
-        if c1_full > c1_half * grow_tol:
+    s_ok = sl_ok = True
+    log2_c1 = log2_c2 = 0.0
+    half = PROBE_DEPTH // 2 + 1
+    for j, lf in enumerate(probes):
+        psi_s, neg_psi_l = lf + alpha * m_grid, -(lf + gamma * m_grid)
+        c1_half, c1_full = _log2_c1(psi_s[:half]), _log2_c1(psi_s)
+        c2_half, c2_full = -_log2_c1(neg_psi_l[:half]), -_log2_c1(neg_psi_l)
+        log2_c1, log2_c2 = max(log2_c1, c1_full), min(log2_c2, c2_full)
+        if c1_full - c1_half > grow_tol:
             s_ok = False
             violations.append(
-                f"(S): coordinate {j}, C1 grows with depth ({c1_half:.6g} -> {c1_full:.6g})")
-        if c2_full < c2_half / grow_tol:
+                f"(S): coordinate {j}, C1 grows with depth "
+                f"({_constant(c1_half):.6g} -> {_constant(c1_full):.6g})")
+        if c2_half - c2_full > grow_tol:
             sl_ok = False
             violations.append(
-                f"(S_l): coordinate {j}, C2 shrinks with depth ({c2_half:.6g} -> {c2_full:.6g})")
+                f"(S_l): coordinate {j}, C2 shrinks with depth "
+                f"({_constant(c2_half):.6g} -> {_constant(c2_full):.6g})")
 
     return MajorantAuditReport(
         params=params, alpha=alpha, gamma=gamma,
         monotone_ok=monotone_ok, scaling_ok=scaling_ok,
         s_condition_ok=s_ok, sl_condition_ok=sl_ok,
-        c1=c1_all, c2=c2_all, violations=violations)
+        c1=_constant(log2_c1), c2=_constant(log2_c2), violations=violations)

@@ -239,13 +239,19 @@ class TrigPolynomial:
 
     def evaluate(self, x) -> np.ndarray:
         """Values at arbitrary points, shape (m, d) -> (m,), chunked so the
-        intermediate phase matrix stays within a fixed op budget."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
+        intermediate phase matrix stays within a fixed op budget; one point
+        (shape (d,), or a scalar when d = 1) gives one value.  The points
+        must be finite reals: a bool, complex, string or object array, NaN or
+        an infinity raises ParameterError."""
+        x = np.asarray(x)
+        if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
+            raise ParameterError("evaluation points must be finite real numbers")
+        x = x.astype(float, copy=False)
+        single = x.ndim < 2  # one point: d coordinates, or a scalar when d = 1
         if single:
             x = x.reshape(1, -1)
-        if x.shape[1] != self.d:
-            raise ParameterError(f"points have {x.shape[1]} coordinates, expected {self.d}")
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise ParameterError(f"points have shape {x.shape}, expected (m, {self.d})")
         m = x.shape[0]
         out = np.zeros(m, dtype=np.complex128)
         if not self.is_zero:

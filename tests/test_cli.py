@@ -355,6 +355,28 @@ def test_refused_numbers_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error:")
 
 
+def test_steep_majorant_exit_4(capsys):
+    # omega at b = -1e4 overflows: once a ZeroDivisionError in the audit, exit 1
+    code, err = exit_code(capsys, "lemmas", "--d", "1", "--b=-1e4")
+    assert code == 4
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("--d", "3", "--n-min", "1.5", "--n-max", "1.5"), 0),
+    (("--d", "1", "--r", "1.9", "--b", "1.8", "--alpha", "0.1", "--gamma", "0.2"), 3),
+])
+def test_lemmas_empty_shell_ratio_is_inf(capsys, argv, want):
+    # 2^l N below the weight of box (1, ..., 1) leaves the shell empty:
+    # once a ZeroDivisionError at tail / shell, exit 1
+    code, out, _ = run_cli(capsys, "lemmas", *argv)
+    assert code == want
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    empty = [row for row in rows if row[3] == "0"]
+    assert empty and all(row[4] == "inf" for row in empty)
+    assert all(row[4] != "inf" for row in rows if row[3] != "0")
+
+
 def test_underflowed_tail_exit_4(capsys):
     # every tail term underflows to 0: once a ZeroDivisionError, exit 1
     code, err = exit_code(capsys, "lemmas", "--beta=-1e3", "--n-max", "256")

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stepcross.errors import ParameterError
-from stepcross.indexsets import SpectrumSet, rho
+from stepcross.besov import BesovParams, besov_norm
+from stepcross.errors import CapacityError, ParameterError
+from stepcross.indexsets import SpectrumSet, rho, theta
 from stepcross.kernels import band_apply, band_kernel, band_multiplier, k_packet, ks_vector
 from stepcross.trigpoly import TrigPolynomial
 from stepcross.majorant import (
@@ -15,7 +18,9 @@ from stepcross.majorant import (
     omega_eval,
     omega_dyadic,
     log2_omega_dyadic,
+    log2_weight,
     verify_majorant_axioms,
+    PROBE_DEPTH,
 )
 
 
@@ -106,6 +111,54 @@ class TestOmegaDyadic:
     def test_rejects_zero_index(self):
         with pytest.raises(ParameterError):
             omega_dyadic(P(1, 1.0, 0.0), (0,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_eval_at_dyadic_points(self, data):
+        d = data.draw(st.integers(1, 3))
+        r = data.draw(st.floats(0.1, 3.0))
+        b = data.draw(st.lists(st.floats(-3.0, r, exclude_max=True), min_size=d, max_size=d))
+        s = tuple(data.draw(st.lists(st.integers(1, 40), min_size=d, max_size=d)))
+        p = P(d, r, tuple(b), l=math.ceil(r) + 1)
+        t = tuple(2.0 ** -sj for sj in s)
+        assert omega_eval(p, t) == pytest.approx(omega_dyadic(p, s), rel=1e-13)
+        # the one-box form sums the same terms in the same order
+        assert log2_omega_dyadic(p, s) == -log2_weight(p, [s])[0]
+
+
+# b_j = -1e4 once made omega_eval and the audit divide by an underflowed 0
+# and omega_dyadic overflow; r = 1000 once made omega_dyadic return a silent
+# 0, besov_norm divide by it, and the audit overflow in mult ** l.
+STEEP = P(1, 1.0, -1e4)
+TINY = P(1, 1000.0, 0.0, l=2000)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("value", [
+        lambda: omega_eval(STEEP, (0.25,)),
+        lambda: omega_dyadic(STEEP, (2,)),
+        lambda: omega_dyadic(TINY, (2,)),
+        lambda: omega_eval(TINY, (0.25,)),
+        lambda: besov_norm(TrigPolynomial([[2]], [1.0]), TINY, BesovParams(p=2, theta=2)),
+        lambda: theta(TINY, 64.0),  # the shell top 2^l N, once a raw OverflowError
+    ])
+    def test_value_outside_float_range_raises(self, value):
+        with pytest.raises(CapacityError, match="float range"):
+            value()
+
+    def test_log2_value_stays_finite(self):
+        assert log2_omega_dyadic(TINY, (2,)) == -2000.0
+        assert log2_omega_dyadic(STEEP, (2,)) == pytest.approx(1e4 - 2.0, rel=1e-15)
+
+    def test_audit_reports_steep_weight(self):
+        rep = verify_majorant_axioms(STEEP, alpha=0.5, gamma=1.5)
+        assert not rep.monotone_ok and not rep.s_condition_ok
+        assert rep.c1 == math.inf  # C1 is far past the float range
+        assert rep.violations[0].startswith("monotonicity")
+
+    def test_audit_reports_tiny_weight(self):
+        rep = verify_majorant_axioms(TINY, alpha=1000.0, gamma=1000.0)
+        assert rep.all_ok and rep.c1 == 1.0 and rep.c2 == 1.0
 
 
 class TestBoxIndex:
@@ -222,3 +275,83 @@ class TestAudit:
     def test_gamma_must_stay_below_l(self):
         with pytest.raises(ParameterError):
             verify_majorant_axioms(P(1, 1.0, 0.0), alpha=0.5, gamma=2.0)
+
+
+def _factor(r, b, t):
+    lg = max(1.0, -math.log2(t)) if t < 1.0 else 1.0
+    return t ** r / lg ** b
+
+
+def _linear_audit(params, alpha, gamma):
+    """The audit in linear space, as it was before the log2 form: the
+    reference for majorants whose values stay in the float range."""
+    violations = []
+    flags = dict(monotone=True, scaling=True, s=True, sl=True)
+
+    def omega(t):
+        return math.prod(_factor(params.r, bj, tj) for tj, bj in zip(t, params.b))
+
+    for j, bj in enumerate(params.b):
+        vals = [_factor(params.r, bj, 2.0 ** -m) for m in range(PROBE_DEPTH + 1)]
+        for m in range(PROBE_DEPTH):
+            if vals[m + 1] > vals[m] * (1 + 1e-12):
+                flags["monotone"] = False
+                violations.append(
+                    f"monotonicity: coordinate {j} increases from t=2^-{m + 1} to t=2^-{m}")
+                break
+    for j in range(params.d):
+        for m_exp in (1, 2, 3, 5, 8, PROBE_DEPTH):
+            for mult in (1, 2, 3, 4, 5, 8, 16, 32, 64, 2 ** PROBE_DEPTH):
+                t = [0.5] * params.d
+                t[j] = 2.0 ** -m_exp
+                if mult * t[j] > 1.0:
+                    continue
+                scaled = list(t)
+                scaled[j] *= mult
+                if omega(scaled) > mult ** params.l * omega(t) * (1 + 1e-12):
+                    flags["scaling"] = False
+                    violations.append(f"scaling: coordinate {j}, t_j=2^-{m_exp}, multiplier {mult}")
+
+    def constants(values):
+        return (max(1.0, np.max(values / np.minimum.accumulate(values))),
+                min(1.0, np.min(values / np.maximum.accumulate(values))))
+
+    c1_all = c2_all = 1.0
+    half = PROBE_DEPTH // 2
+    m = np.arange(PROBE_DEPTH + 1, dtype=float)
+    for j, bj in enumerate(params.b):
+        factors = np.array([_factor(params.r, bj, 2.0 ** -mi) for mi in m])
+        psi_s, psi_l = factors * 2.0 ** (alpha * m), factors * 2.0 ** (gamma * m)
+        c1_full, c1_half = constants(psi_s)[0], constants(psi_s[: half + 1])[0]
+        c2_full, c2_half = constants(psi_l)[1], constants(psi_l[: half + 1])[1]
+        c1_all, c2_all = max(c1_all, c1_full), min(c2_all, c2_full)
+        if c1_full > c1_half * (1 + 1e-9):
+            flags["s"] = False
+            violations.append(
+                f"(S): coordinate {j}, C1 grows with depth ({c1_half:.6g} -> {c1_full:.6g})")
+        if c2_full < c2_half / (1 + 1e-9):
+            flags["sl"] = False
+            violations.append(
+                f"(S_l): coordinate {j}, C2 shrinks with depth ({c2_half:.6g} -> {c2_full:.6g})")
+    return flags, c1_all, c2_all, violations
+
+
+AUDIT_B = (-1.0, -0.25, 0.0, 0.5)
+AUDIT_GRID = [
+    P(len(b), r, b)
+    for r in (0.5, 1.0, 1.5)
+    for b in [(bj,) for bj in AUDIT_B] + list(itertools.combinations(AUDIT_B, 2))
+    if max(b) < r
+]
+
+
+@pytest.mark.parametrize("params", AUDIT_GRID, ids=str)
+@pytest.mark.parametrize("alpha, gamma", [(0.25, 1.0), (0.5, 1.5), (1.0, 1.0), (1.25, 1.9)])
+def test_audit_matches_linear_reference(params, alpha, gamma):
+    flags, c1, c2, violations = _linear_audit(params, alpha, gamma)
+    rep = verify_majorant_axioms(params, alpha, gamma)
+    assert (rep.monotone_ok, rep.scaling_ok, rep.s_condition_ok, rep.sl_condition_ok) == (
+        flags["monotone"], flags["scaling"], flags["s"], flags["sl"])
+    assert rep.violations == violations
+    assert rep.c1 == pytest.approx(c1, rel=1e-12)
+    assert rep.c2 == pytest.approx(c2, rel=1e-12)

@@ -272,6 +272,23 @@ class TestEvaluation:
         x = np.array([[0.7]])
         assert f.evaluate(x)[0] == pytest.approx(2.0 * np.exp(1j * 2.1), rel=1e-13)
 
+    @pytest.mark.parametrize("x", [
+        [math.nan], [math.inf], [[0.5], [-math.inf]], [True], ["a"], [1j], [2 ** 70], [[[0.5]]]])
+    def test_refuses_points(self, x):
+        # NaN and inf once gave nan+nanj, True was x = 1 and "a" a raw ValueError
+        with pytest.raises(ParameterError):
+            TrigPolynomial([[3]], [2.0]).evaluate(x)
+
+    @pytest.mark.parametrize("x", [0.7, [0.7], np.float32(0.7), [[0.7]]])
+    def test_one_point_forms(self, x):
+        f = TrigPolynomial([[3]], [2.0])
+        want = 2.0 * np.exp(1j * 3 * float(np.asarray(x).reshape(-1)[0]))
+        assert np.ravel(f.evaluate(x))[0] == pytest.approx(want, rel=1e-13)
+
+    def test_integer_points(self):
+        f = TrigPolynomial([[1, 2]], [1.0])
+        assert f.evaluate([1, 2]) == pytest.approx(np.exp(5j), rel=1e-13)
+
     def test_grid_matches_direct(self):
         rng = np.random.default_rng(5)
         ks = rng.integers(-9, 10, size=(40, 2))
