@@ -36,6 +36,7 @@ from .trigpoly import (
     QuadratureSpec,
     TrigPolynomial,
     lp_norm,
+    lp_norms,
     nikolskii_check,
     pow2ceil,
     random_in_spectrum,

@@ -1,8 +1,9 @@
 """Exception types shared across the library, and the three input rules
 every entry point applies: ``check_int`` for counts and indices,
-``check_exponent`` for integrability and summation exponents, and
-``check_real`` for thresholds, tolerances and majorant parameters, with its
-vector form ``check_point`` for shifts, centres and evaluation points.
+``check_exponent`` for integrability and summation exponents, with its
+sequence form ``check_exponents``, and ``check_real`` for thresholds,
+tolerances and majorant parameters, with its vector form ``check_point``
+for shifts, centres and evaluation points.
 
 The CLI maps these onto process exit codes: parameter/usage problems -> 2,
 quadrature tolerance failures -> 3, capacity overruns -> 4.
@@ -58,6 +59,17 @@ def check_exponent(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x >= 1:
         raise ParameterError(f"need {what} >= 1 or {what} = inf, got {x!r}")
     return float(x)
+
+
+def check_exponents(xs, what: str) -> tuple:
+    """xs as a tuple of exponents, each taken by ``check_exponent`` and kept
+    as given; a scalar or a string raises ParameterError."""
+    if isinstance(xs, str) or not np.iterable(xs):
+        raise ParameterError(f"{what} takes a sequence of exponents, got {xs!r}")
+    xs = tuple(xs)
+    for x in xs:
+        check_exponent(x, what)
+    return xs
 
 
 def check_real(x, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:

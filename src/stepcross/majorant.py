@@ -195,6 +195,14 @@ def _constant(y: float) -> float:
     return 2.0 ** y if y < 1024 else math.inf
 
 
+def _growth(name: str, half: float, full: float) -> str:
+    # the constants 2^half -> 2^full of a growth line, or their log2 values
+    # where one of them overflows to inf or underflows to 0
+    if all(0 < _constant(y) < math.inf for y in (half, full)):
+        return f"({_constant(half):.6g} -> {_constant(full):.6g})"
+    return f"(log2 {name} {half:.6g} -> {full:.6g})"
+
+
 def verify_majorant_axioms(params: MajorantParams, alpha: float,
                            gamma: float) -> MajorantAuditReport:
     """Audit monotonicity, the scaled-growth inequality, and both almost-
@@ -206,8 +214,9 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
     is still growing as the probe grid deepens (compared at half depth), which
     is the finite-grid signature of an unbounded ratio.  Every comparison is
     made between log2 values, so no valid majorant makes the audit raise; a
-    C1 past the float range is reported as inf.  Violations are report
-    content, not exceptions.
+    C1 past the float range is reported as inf, and a growth line with a
+    constant past the float range prints the log2 values instead.
+    Violations are report content, not exceptions.
     """
     alpha = check_real(alpha, "alpha", lo=0)
     gamma = check_real(gamma, "gamma", 0, params.l)
@@ -256,13 +265,11 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
         if c1_full - c1_half > grow_tol:
             s_ok = False
             violations.append(
-                f"(S): coordinate {j}, C1 grows with depth "
-                f"({_constant(c1_half):.6g} -> {_constant(c1_full):.6g})")
+                f"(S): coordinate {j}, C1 grows with depth {_growth('C1', c1_half, c1_full)}")
         if c2_half - c2_full > grow_tol:
             sl_ok = False
             violations.append(
-                f"(S_l): coordinate {j}, C2 shrinks with depth "
-                f"({_constant(c2_half):.6g} -> {_constant(c2_full):.6g})")
+                f"(S_l): coordinate {j}, C2 shrinks with depth {_growth('C2', c2_half, c2_full)}")
 
     return MajorantAuditReport(
         params=params, alpha=alpha, gamma=gamma,

@@ -13,7 +13,10 @@ agree (an estimate, not a certified error); the sup norm refines a sampled
 maximum, which never exceeds the true sup.  One loop, ``_refine``, does
 both.  Every grid holds at most ``MAX_GRID_POINTS`` points, and a refined
 grid at most ``MAX_GRID_SIDE`` points per axis (see ``lp_norm`` for where
-that limits the adaptive mean).
+that limits the adaptive mean).  ``lp_norms`` gives the same values for
+several p from one pass over the grids: the refined p double one grid in
+lockstep, and an exact even-p grid that the refinement evaluates anyway
+is reduced there instead of twice.
 
 Grids are sized from the spread w_j = max k_j - min k_j of each axis, not
 from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
@@ -29,13 +32,14 @@ large enough to hold them without aliasing.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CapacityError, ParameterError, QuadratureAccuracyError, check_exponent,
-                     check_int, check_point, check_real)
+                     check_exponents, check_int, check_point, check_real)
 from .indexsets import SpectrumSet
 from .majorant import MAX_OCTAVE
 
@@ -43,6 +47,7 @@ __all__ = [
     "TrigPolynomial",
     "QuadratureSpec",
     "lp_norm",
+    "lp_norms",
     "random_in_spectrum",
     "NikolskiiResult",
     "nikolskii_check",
@@ -361,10 +366,13 @@ class QuadratureSpec:
         object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", 0, 1))
 
 
-def _abs_power_mean(values: np.ndarray, p: float) -> float:
+def _lp_mean(values: np.ndarray, p) -> float:
+    """The L_p mean (mean |values|^p)^{1/p} of the grid values."""
     if p == int(p) and int(p) % 2 == 0:
-        return float(np.mean((values.real ** 2 + values.imag ** 2) ** (int(p) // 2)))
-    return float(np.mean(np.abs(values) ** p))
+        mean = float(np.mean((values.real ** 2 + values.imag ** 2) ** (int(p) // 2)))
+    else:
+        mean = float(np.mean(np.abs(values) ** p))
+    return mean ** (1.0 / p)
 
 
 def _double_within_caps(grid):
@@ -393,31 +401,69 @@ def _fit_points(grid):
     return tuple(grid)
 
 
+def _exact_grid(spread, p):
+    """The grid ``pow2ceil((p/2) w_j + 1)``, floored at 8, on which |f|^p
+    integrates exactly, for an even integer p when it holds at most
+    ``MAX_GRID_POINTS`` points; None otherwise."""
+    if p == int(p) and int(p) % 2 == 0:
+        grid = tuple(max(8, pow2ceil(int(p) // 2 * w + 1)) for w in spread)
+        if math.prod(grid) <= MAX_GRID_POINTS:
+            return grid
+    return None
+
+
 def _even_subgrid(coarse, fine):
     """Index of the points of grid ``coarse`` inside its doubling ``fine``:
     every second point on the axes that doubled."""
     return tuple(slice(None, None, b // a) for a, b in zip(coarse, fine))
 
 
-def _refine(f: TrigPolynomial, start, reduce, quad: QuadratureSpec):
-    """Double the grid ``start`` within the caps until ``reduce`` of two
-    successive grids agrees to ``rel_tol``; returns (estimate, converged).
+def _refine(f: TrigPolynomial, start, reduces, quad: QuadratureSpec,
+            visit=lambda grid, values: None):
+    """Double the grid ``start`` within the caps until each of ``reduces``
+    agrees to ``rel_tol`` on two successive grids; returns one (estimate,
+    converged) pair per reduce.
 
-    The start grid's estimate is read off the even-index points of the first
-    doubling, so the start grid is evaluated on its own only when no axis
-    can double; then nothing is compared and the result is not converged."""
+    Each grid is evaluated once, shown to ``visit(grid, values)``, reduced
+    for every reduce not yet converged and then dropped, so one grid is held
+    at a time and each reduce sees the values it would see alone.  The start
+    grid's estimate is read off the even-index points of the first doubling,
+    so the start grid is evaluated on its own only when no axis can double;
+    then nothing is compared and nothing converges."""
     grid, doubled = _double_within_caps(start)
     vals = f.evaluate_grid(grid)
-    prev = reduce(vals[_even_subgrid(start, grid)]) if doubled else None
-    est = reduce(vals)
+    visit(grid, vals)
+    prev = [reduce(vals[_even_subgrid(start, grid)]) if doubled else None for reduce in reduces]
+    est = [reduce(vals) for reduce in reduces]
     del vals
+    live = range(len(reduces))
     while True:
-        if prev is not None and abs(est - prev) <= quad.rel_tol * max(est, 1e-300):
-            return est, True
+        live = [i for i in live if prev[i] is None
+                or not abs(est[i] - prev[i]) <= quad.rel_tol * max(est[i], 1e-300)]
+        if not live:
+            break
         grid, doubled = _double_within_caps(grid)
         if not doubled:
-            return est, False
-        prev, est = est, reduce(f.evaluate_grid(grid))
+            break
+        vals = f.evaluate_grid(grid)
+        visit(grid, vals)
+        for i in live:
+            prev[i], est[i] = est[i], reduces[i](vals)
+        del vals
+    return [(e, i not in live) for i, e in enumerate(est)]
+
+
+def _sup(f: TrigPolynomial, spread, quad: QuadratureSpec) -> float:
+    """The largest |f| sampled on the grids refined from four times the
+    Nyquist start."""
+    seen = 0.0
+
+    def running_max(vals):
+        nonlocal seen
+        seen = max(seen, float(np.max(np.abs(vals))))
+        return seen
+
+    return _refine(f, _start_grid(spread, 4), [running_max], quad)[0][0]
 
 
 def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> float:
@@ -442,37 +488,66 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     grid, under the same start cap, and never raises; the result is the
     largest value sampled on any grid, a lower estimate of the true sup.
     """
+    return lp_norms(f, (p,), quad)[0]
+
+
+def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple:
+    """``tuple(lp_norm(f, p, quad) for p in ps)``, bit for bit, with each
+    grid evaluated once for all the p that need it.
+
+    The p that refine (fractional, odd, and even p whose exact grid is past
+    ``MAX_GRID_POINTS``) double one grid in lockstep from the shared start:
+    each grid is reduced for every p not yet converged, and each p keeps its
+    own stop rule.  An even p whose exact grid has the shape of a grid the
+    refinement evaluates is reduced there; the other exact grids and the sup
+    are evaluated on their own.  One grid is held at a time.  The first p
+    of ``ps`` that does not converge raises QuadratureAccuracyError.
+    """
     quad = quad or QuadratureSpec()
-    check_exponent(p, "p")
+    ps = check_exponents(ps, "p")
     if f.is_zero:
-        return 0.0
-    if p == 2:
-        return float(np.sqrt(np.sum(f.cs.real ** 2 + f.cs.imag ** 2)))
+        return (0.0,) * len(ps)
+    norms = {}
+    if 2 in ps:
+        norms[2] = float(np.sqrt(np.sum(f.cs.real ** 2 + f.cs.imag ** 2)))
+    sampled = [p for p in dict.fromkeys(ps) if p != 2]
+    if sampled:
+        norms.update(_sampled_norms(f, sampled, quad))
+    return tuple(norms[p] for p in ps)
+
+
+def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
+    """The norms of f at the distinct exponents ``ps`` (none of them 2), as
+    a dict p -> norm, from one pass over the grids."""
     spread = [int(w) for w in np.ptp(f.ks, axis=0)]  # the degrees of |f|^2
+    norms = {}
+    exact = {}  # an exact even-p grid -> the p it serves
+    refined = []
+    for p in ps:
+        if p == math.inf:
+            norms[p] = _sup(f, spread, quad)
+        elif grid := _exact_grid(spread, p):
+            exact.setdefault(grid, []).append(p)
+        else:
+            refined.append(p)
 
-    if p == math.inf:
-        seen = 0.0
+    def reduce_exact(grid, vals):
+        for p in exact.pop(grid, ()):
+            norms[p] = _lp_mean(vals, p)
 
-        def running_max(vals):
-            nonlocal seen
-            seen = max(seen, float(np.max(np.abs(vals))))
-            return seen
-
-        return _refine(f, _start_grid(spread, 4), running_max, quad)[0]
-
-    if p == int(p) and int(p) % 2 == 0:
-        grid = tuple(max(8, pow2ceil(int(p) // 2 * w + 1)) for w in spread)
-        if math.prod(grid) <= MAX_GRID_POINTS:
-            return _abs_power_mean(f.evaluate_grid(grid), p) ** (1.0 / p)
-
-    est, converged = _refine(f, _start_grid(spread, 1),
-                             lambda vals: _abs_power_mean(vals, p) ** (1.0 / p), quad)
-    if not converged:
-        raise QuadratureAccuracyError(
-            f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
-            f"within {MAX_GRID_SIDE} points per axis and {MAX_GRID_POINTS} in all",
-            best_estimate=est)
-    return est
+    if refined:
+        results = _refine(f, _start_grid(spread, 1),
+                          [functools.partial(_lp_mean, p=p) for p in refined], quad, reduce_exact)
+        for p, (est, converged) in zip(refined, results):
+            if not converged:
+                raise QuadratureAccuracyError(
+                    f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
+                    f"within {MAX_GRID_SIDE} points per axis and {MAX_GRID_POINTS} in all",
+                    best_estimate=est)
+            norms[p] = est
+    for grid in list(exact):
+        reduce_exact(grid, f.evaluate_grid(grid))
+    return norms
 
 
 # -- Nikolskii inequality -------------------------------------------------
@@ -505,8 +580,7 @@ def nikolskii_check(f: TrigPolynomial, q: float, p: float,
     """
     if not check_exponent(q, "q") < check_exponent(p, "p"):
         raise ParameterError(f"need 1 <= q < p, got q={q}, p={p}")
-    lhs = lp_norm(f, p, quad)
-    rhs_q = lp_norm(f, q, quad)
+    lhs, rhs_q = lp_norms(f, (p, q), quad)
     factor = 2.0 ** f.d
     for nj in f.degrees:
         factor *= max(nj, 1) ** (1.0 / q - 1.0 / p)

@@ -317,11 +317,11 @@ def check_besov_equivalence(quick: bool = False) -> SectionResult:
     ratios = {(p, t): [] for p in ps for t in thetas}
     for i in range(count):
         f = random_in_spectrum(spectrum, seed=3000 + i, law="gaussian")
-        for p in ps:
-            block_terms = besov_terms(f, om, p, "blocks", quad)[1]
-            band_terms = besov_terms(f, om, p, "bands", quad)[1]
+        block_terms = besov_terms(f, om, ps, "blocks", quad)[1]
+        band_terms = besov_terms(f, om, ps, "bands", quad)[1]
+        for p, blocks, bands in zip(ps, block_terms, band_terms):
             for t in thetas:
-                ratios[(p, t)].append(combine(block_terms, t) / combine(band_terms, t))
+                ratios[(p, t)].append(combine(blocks, t) / combine(bands, t))
 
     rows = []
     worst = 0.0

@@ -198,17 +198,32 @@ class TestEngine:
         omega, quad = P(2, 1.0, (0.5, 0.0)), QuadratureSpec(rel_tol=1e-4)
         for form, pieces in (("blocks", list(dyadic_blocks(f).items())),
                              ("bands", list(_band_pieces(f)))):
-            indices, terms = besov_terms(f, omega, 1.5, form, quad)
+            indices, (terms,) = besov_terms(f, omega, (1.5,), form, quad)
             assert indices == [s for s, _ in pieces]
             assert terms == [lp_norm(g, 1.5, quad) / omega_dyadic(omega, s) for s, g in pieces]
         assert combine([3.0, 4.0], 2.0) == 5.0
         assert combine([3.0, 4.0], INF) == 4.0
         assert combine([], 2.0) == 0.0 and combine([], INF) == 0.0
 
+    @pytest.mark.parametrize("form", ["blocks", "bands"])
+    def test_several_p_match_one_p_at_a_time(self, form):
+        f = random_in_spectrum(q_set(P(2, 1.0, (0.0, 0.0)), 2 ** 8), seed=5)
+        omega, quad = P(2, 1.0, (0.0, 0.0)), QuadratureSpec(rel_tol=1e-3)
+        ps = (1.5, 2.0, 4.0)
+        indices, terms = besov_terms(f, omega, ps, form, quad)
+        assert len(terms) == len(ps) and len(indices) > 4
+        for p, got in zip(ps, terms):
+            assert besov_terms(f, omega, (p,), form, quad) == (indices, (got,))
+
     def test_unknown_form(self):
         with pytest.raises(ParameterError, match="form"):
-            besov_terms(two_mode(), P(1, 1.0, 0.0), 2.0, "rings")
+            besov_terms(two_mode(), P(1, 1.0, 0.0), (2.0,), "rings")
 
     def test_dimension_checked(self):
         with pytest.raises(ParameterError, match="dimension"):
-            besov_terms(two_mode(), P(2, 1.0, (0.0, 0.0)), 2.0, "bands")
+            besov_terms(two_mode(), P(2, 1.0, (0.0, 0.0)), (2.0,), "bands")
+
+    @pytest.mark.parametrize("ps", [2.0, "2", (2.0, 0.5)])
+    def test_exponents_checked(self, ps):
+        with pytest.raises(ParameterError, match="p"):
+            besov_terms(two_mode(), P(1, 1.0, 0.0), ps, "bands")

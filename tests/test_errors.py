@@ -21,7 +21,8 @@ from stepcross.majorant import (
     MajorantParams, check_box_index, omega_eval, verify_majorant_axioms)
 from stepcross.polyio import loads_polynomial
 from stepcross.trigpoly import (
-    QuadratureSpec, TrigPolynomial, lp_norm, nikolskii_check, pow2ceil, random_in_spectrum)
+    QuadratureSpec, TrigPolynomial, lp_norm, lp_norms, nikolskii_check, pow2ceil,
+    random_in_spectrum)
 
 INF = math.inf
 OM1 = MajorantParams(d=1, r=1.0, b=0.0, l=2)
@@ -137,6 +138,7 @@ class TestCheckExponent:
     # every public entry point that takes an exponent
     ENTRY_POINTS = {
         "lp_norm": lambda x: lp_norm(F, x),
+        "lp_norms": lambda x: lp_norms(F, (2.0, x)),
         "approx_error.q": lambda x: approx_error(F, OM2, 8, x),
         "BesovParams.p": lambda x: BesovParams(x, 2.0),
         "BesovParams.theta": lambda x: BesovParams(2.0, x),

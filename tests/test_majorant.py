@@ -156,6 +156,20 @@ class TestFloatRange:
         assert rep.c1 == math.inf  # C1 is far past the float range
         assert rep.violations[0].startswith("monotonicity")
 
+    def test_growth_line_past_the_float_range_prints_log2(self):
+        # C1 at half and full depth is 2^33214.8 and 2^43209.8; C2 of a
+        # steep r underflows to 0
+        rep = verify_majorant_axioms(STEEP, alpha=0.5, gamma=1.5)
+        assert rep.violations[1] == (
+            "(S): coordinate 0, C1 grows with depth (log2 C1 33214.8 -> 43209.8)")
+        rep = verify_majorant_axioms(P(1, 100.0, 0.0, l=2000), alpha=0.5, gamma=1.0)
+        assert rep.violations == [
+            "(S_l): coordinate 0, C2 shrinks with depth (log2 C2 -990 -> -1980)"]
+        # constants inside the float range keep their values
+        rep = verify_majorant_axioms(P(1, 10.0, 0.0, l=20), alpha=0.5, gamma=1.0)
+        assert rep.violations == [
+            "(S_l): coordinate 0, C2 shrinks with depth (8.07794e-28 -> 6.5253e-55)"]
+
     def test_audit_reports_tiny_weight(self):
         rep = verify_majorant_axioms(TINY, alpha=1000.0, gamma=1000.0)
         assert rep.all_ok and rep.c1 == 1.0 and rep.c2 == 1.0

@@ -13,6 +13,7 @@ from stepcross.trigpoly import (
     TrigPolynomial,
     QuadratureSpec,
     lp_norm,
+    lp_norms,
     nikolskii_check,
     pow2ceil,
     random_in_spectrum,
@@ -518,6 +519,115 @@ class TestLpNorm:
         norms = [lp_norm(f, p, QuadratureSpec(rel_tol=1e-7)) for p in (1, 1.5, 2, 4)]
         norms.append(lp_norm(f, INF))
         assert all(norms[i] <= norms[i + 1] * (1 + 1e-6) for i in range(len(norms) - 1))
+
+
+def each_lp_norm(f, ps, quad=None):
+    """``lp_norm`` at each p in turn: the values, or the first
+    QuadratureAccuracyError as (message, best estimate)."""
+    try:
+        return tuple(lp_norm(f, p, quad) for p in ps)
+    except QuadratureAccuracyError as err:
+        return str(err), err.best_estimate
+
+
+def all_lp_norms(f, ps, quad=None):
+    """``lp_norms`` in the form of ``each_lp_norm``."""
+    try:
+        return lp_norms(f, ps, quad)
+    except QuadratureAccuracyError as err:
+        return str(err), err.best_estimate
+
+
+class TestLpNorms:
+    """One grid pass for several exponents gives each p the value it gets
+    alone, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_same_bits_as_one_p_at_a_time(self, data):
+        d = data.draw(st.sampled_from((1, 2)), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        # spreads up to 3 get the floor of 8 on their exact grid
+        spread = [data.draw(st.one_of(st.integers(0, 3), st.integers(4, 100)), label=f"w{j}")
+                  for j in range(d)]
+        n = data.draw(st.integers(1, 8), label="terms")
+        ks = np.stack([rng.integers(0, w + 1, size=n + 2) for w in spread], axis=1)
+        ks[0], ks[1] = 0, spread
+        f = TrigPolynomial(ks + rng.integers(-50, 51, size=d),
+                           rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2))
+        ps = data.draw(st.lists(st.sampled_from((1, 1.5, 2, 3, 4, 6, INF)), min_size=1,
+                                max_size=6), label="ps")
+        quad = QuadratureSpec(rel_tol=data.draw(st.sampled_from((1e-3, 1e-6)), label="rel_tol"))
+        # a low side cap brings the start cap and the accuracy error in reach
+        side = data.draw(st.sampled_from((32, 256, 8192)), label="MAX_GRID_SIDE")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trigpoly, "MAX_GRID_SIDE", side)
+            assert all_lp_norms(f, ps, quad) == each_lp_norm(f, ps, quad)
+
+    @pytest.mark.parametrize("ks", [[[0], [3000]], [[0, 0], [2500, 3], [7, 1]]])
+    def test_same_bits_past_the_start_cap(self, ks):
+        # a spread past 2048 starts at the capped grid, and the exact p = 4
+        # grid is no refinement grid
+        f = TrigPolynomial(ks, [1.0, 0.5j, -0.25][:len(ks)])
+        ps = (4, 1.5, INF, 1, 4, 2, 6)
+        assert all_lp_norms(f, ps) == each_lp_norm(f, ps)
+
+    def test_shared_grid_is_evaluated_once(self, grid_shapes):
+        # spreads (40, 9): the exact p = 4 grid (128, 32) is the first
+        # doubling of the p = 1.5 start (64, 16), so it comes first, and no
+        # shape is evaluated twice; p = 1.5 alone evaluates four grids
+        rng = np.random.default_rng(3)
+        ks = np.c_[rng.integers(0, 41, size=30), rng.integers(0, 10, size=30)]
+        ks[:2] = [[0, 0], [40, 9]]
+        f = TrigPolynomial(ks, rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        quad = QuadratureSpec(rel_tol=1e-6)
+        want = each_lp_norm(f, (1.5, 4.0), quad)
+        alone = list(grid_shapes)
+        grid_shapes.clear()
+        assert lp_norms(f, (1.5, 4.0), quad) == want
+        assert grid_shapes[0] == (128, 32)
+        assert len(set(grid_shapes)) == len(grid_shapes) == len(alone) - 1 == 4
+        assert set(grid_shapes) == set(alone)
+
+    @pytest.mark.parametrize("side, rel_tol, ps, failing", [
+        (16, 1e-13, (4, 1.5, 1), 1.5),
+        (16, 1e-13, (INF, 1, 1.5), 1),
+        # p = 3 and 5 converge within the cap, p = 1.5 and 1 do not
+        (256, 1e-4, (3, 5, 1.5, 1), 1.5),
+        (256, 1e-4, (5, 1, 3), 1),
+    ])
+    def test_accuracy_error_carries_the_same_estimate(self, monkeypatch, side, rel_tol, ps,
+                                                      failing):
+        monkeypatch.setattr(trigpoly, "MAX_GRID_SIDE", side)
+        f = TrigPolynomial(np.arange(1, 40).reshape(-1, 1), np.ones(39, dtype=complex))
+        quad = QuadratureSpec(rel_tol=rel_tol)
+        with pytest.raises(QuadratureAccuracyError) as alone:
+            lp_norm(f, failing, quad)
+        with pytest.raises(QuadratureAccuracyError) as shared:
+            lp_norms(f, ps, quad)
+        assert shared.value.best_estimate == alone.value.best_estimate
+        assert str(shared.value) == str(alone.value)
+        converged = ps[:ps.index(failing)]
+        assert lp_norms(f, converged, quad) == each_lp_norm(f, converged, quad)
+
+    def test_floor_grid_is_evaluated_on_its_own(self, grid_shapes):
+        # spread 3: the exact p = 4 grid is the floor (8,), the start of the
+        # refinement, whose values the refinement reads off (16,) only; p = 4
+        # takes its own (8,) grid
+        f = TrigPolynomial([[0], [1], [3]], [1.0, -0.7j, 0.4])
+        quad = QuadratureSpec(rel_tol=1e-3)
+        want = each_lp_norm(f, (1.5, 4), quad)
+        grid_shapes.clear()
+        assert lp_norms(f, (1.5, 4), quad) == want
+        assert grid_shapes[-1] == (8,) and (8,) not in grid_shapes[:-1]
+
+    def test_exponents_checked(self):
+        assert lp_norms(TrigPolynomial.zero(2), (1.5, INF)) == (0.0, 0.0)
+        assert lp_norms(one_plus_exp(), ()) == ()
+        for ps in (1.5, "2", (2.0, 0.5), [math.nan]):
+            for f in (TrigPolynomial.zero(1), one_plus_exp()):
+                with pytest.raises(ParameterError):
+                    lp_norms(f, ps)
 
 
 def degree_rule_first_grid(f, p):
