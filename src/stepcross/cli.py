@@ -110,8 +110,12 @@ def _cmd_lemmas(args) -> int:
                                    n_min=args.n_min, n_max=args.n_max))
     lines.append(f"monotone: {audit.monotone_ok}")
     lines.append(f"scaling: {audit.scaling_ok}")
-    lines.append(f"lower_condition: {audit.s_condition_ok} (c1 {fmt_value(audit.c1)})")
-    lines.append(f"upper_condition: {audit.sl_condition_ok} (c2 {fmt_value(audit.c2)})")
+    for side, ok, name, value, log2_value in (
+            ("lower", audit.s_condition_ok, "c1", audit.c1, audit.log2_c1),
+            ("upper", audit.sl_condition_ok, "c2", audit.c2, audit.log2_c2)):
+        shown = (f"{name} {fmt_value(value)}" if 0 < value < math.inf
+                 else f"log2 {name} {fmt_value(log2_value)}")
+        lines.append(f"{side}_condition: {ok} ({shown})")
     for v in audit.violations:
         lines.append(f"# violation: {v}")
     lines.append("n,tail,tail_bound,shell_sum,ratio")

@@ -174,8 +174,10 @@ class MajorantAuditReport:
     scaling_ok: bool
     s_condition_ok: bool
     sl_condition_ok: bool
-    c1: float
-    c2: float
+    c1: float  # 2^log2_c1, inf past the float range
+    c2: float  # 2^log2_c2, 0.0 where it underflows
+    log2_c1: float
+    log2_c2: float
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -213,9 +215,9 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
     almost decreasing (constant C2).  A condition is flagged when its constant
     is still growing as the probe grid deepens (compared at half depth), which
     is the finite-grid signature of an unbounded ratio.  Every comparison is
-    made between log2 values, so no valid majorant makes the audit raise; a
-    C1 past the float range is reported as inf, and a growth line with a
-    constant past the float range prints the log2 values instead.
+    made between log2 values, so no valid majorant makes the audit raise;
+    the report carries both constants in log2 as well, and a growth line with
+    a constant past the float range prints the log2 values instead.
     Violations are report content, not exceptions.
     """
     alpha = check_real(alpha, "alpha", lo=0)
@@ -275,4 +277,5 @@ def verify_majorant_axioms(params: MajorantParams, alpha: float,
         params=params, alpha=alpha, gamma=gamma,
         monotone_ok=monotone_ok, scaling_ok=scaling_ok,
         s_condition_ok=s_ok, sl_condition_ok=sl_ok,
-        c1=_constant(log2_c1), c2=_constant(log2_c2), violations=violations)
+        c1=_constant(log2_c1), c2=_constant(log2_c2), log2_c1=log2_c1, log2_c2=log2_c2,
+        violations=violations)

@@ -13,7 +13,9 @@ agree (an estimate, not a certified error); the sup norm refines a sampled
 maximum, which never exceeds the true sup.  One loop, ``_refine``, does
 both.  Every grid holds at most ``MAX_GRID_POINTS`` points, and a refined
 grid at most ``MAX_GRID_SIDE`` points per axis (see ``lp_norm`` for where
-that limits the adaptive mean).  ``lp_norms`` gives the same values for
+that limits the adaptive mean).  A mean or a maximum adds up over slabs, so
+a norm holds the values of at most ``SLAB_POINTS`` points at once, however
+large its grid (``_grid_slabs``).  ``lp_norms`` gives the same values for
 several p from one pass over the grids: the refined p double one grid in
 lockstep, and an exact even-p grid that the refinement evaluates anyway
 is reduced there instead of twice.
@@ -32,7 +34,6 @@ large enough to hold them without aliasing.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,8 @@ DIRECT_EVAL_CHUNK_OPS = 1 << 22
 MAX_GRID_POINTS = 1 << 26
 # the longest axis of a refined grid; exact even-p grids obey MAX_GRID_POINTS only
 MAX_GRID_SIDE = 1 << 13
+# the most points evaluated at once: a larger grid is reduced in slabs
+SLAB_POINTS = 1 << 20
 # 2^0 .. 2^MAX_OCTAVE: |k| has octave sigma when exactly sigma of them are <= |k|
 _OCTAVE_FLOORS = np.left_shift(np.uint64(1), np.arange(MAX_OCTAVE + 1, dtype=np.uint64))
 
@@ -278,7 +281,8 @@ class TrigPolynomial:
         memory (``ru_maxrss`` at 2^24 points) is 48 B a point in 1-D: the
         output plus 32 B of scratch that numpy's in-place FFT of one 2^24
         line allocates.  In 2-D it is 16 B a point for the output plus 16 B
-        times the fraction of occupied lines (16 to 26 B measured).
+        times the fraction of occupied lines (16 to 26 B measured); the norms
+        ask for at most ``SLAB_POINTS`` points at a time.
         """
         grid_shape = tuple(check_int(g, "grid side")
                            for g in np.atleast_1d(np.asarray(grid_shape)).tolist())
@@ -366,13 +370,18 @@ class QuadratureSpec:
         object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", 0, 1))
 
 
-def _lp_mean(values: np.ndarray, p) -> float:
-    """The L_p mean (mean |values|^p)^{1/p} of the grid values."""
+def _power_sum(values: np.ndarray, p, total: float) -> float:
+    """``total`` plus the sum of |values|^p; for p = inf, the larger of
+    ``total`` and the largest |values|.  Either adds up over slabs."""
+    if p == math.inf:
+        return max(total, float(np.max(np.abs(values))))
     if p == int(p) and int(p) % 2 == 0:
-        mean = float(np.mean((values.real ** 2 + values.imag ** 2) ** (int(p) // 2)))
+        x, p = values.real ** 2, int(p) // 2
+        x += values.imag ** 2
     else:
-        mean = float(np.mean(np.abs(values) ** p))
-    return mean ** (1.0 / p)
+        x = np.abs(values)
+    x **= p  # in place, as ``**``: one fresh array of the slab's size, not two
+    return total + float(np.sum(x))
 
 
 def _double_within_caps(grid):
@@ -412,32 +421,68 @@ def _exact_grid(spread, p):
     return None
 
 
-def _even_subgrid(coarse, fine):
-    """Index of the points of grid ``coarse`` inside its doubling ``fine``:
-    every second point on the axes that doubled."""
-    return tuple(slice(None, None, b // a) for a, b in zip(coarse, fine))
+def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
+    """The values of f on ``grid`` (sides powers of two) as (values, on) per
+    slab, ``values[on]`` being the slab's points on ``coarse``, a grid that
+    ``grid`` doubles on some axes (``on`` is None without ``coarse`` or when
+    the slab holds none).  Past ``SLAB_POINTS`` points, the grid is cut into
+    S = pow2ceil(points / SLAB_POINTS) >= 2 slabs, at most G_a, along its
+    longest axis a (the last of equals, which keeps ``evaluate_grid``'s lines):
+    slab r, the indices r mod S there, is f e^{2 pi i r k_a / G_a} on G_a / S
+    points (Cooley and Tukey's decimation in time), phase reduced exactly."""
+    steps = [g // c for g, c in zip(grid, coarse or grid)]
+    if math.prod(grid) <= SLAB_POINTS:
+        yield f.evaluate_grid(grid), coarse and tuple(slice(None, None, k) for k in steps)
+        return
+    a = max(reversed(range(len(grid))), key=grid.__getitem__)
+    s = min(grid[a], pow2ceil(-(-math.prod(grid) // SLAB_POINTS)))
+    on = tuple(slice(None, None, 1 if j == a else k) for j, k in enumerate(steps))
+    for r in range(s):
+        twisted = f if r == 0 else TrigPolynomial._canonical(
+            f.ks, f.cs * np.exp(2j * np.pi / grid[a] * (r * np.mod(f.ks[:, a], grid[a]) % grid[a])))
+        yield (twisted.evaluate_grid(grid[:a] + (grid[a] // s,) + grid[a + 1:]),
+               None if coarse is None or r % steps[a] else on)
 
 
-def _refine(f: TrigPolynomial, start, reduces, quad: QuadratureSpec,
-            visit=lambda grid, values: None):
-    """Double the grid ``start`` within the caps until each of ``reduces``
-    agrees to ``rel_tol`` on two successive grids; returns one (estimate,
-    converged) pair per reduce.
+def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None):
+    """For each p of ``ps``, the L_p mean of f on ``grid`` (the largest |f|
+    for p = inf), added up one slab at a time; and the same on the points of
+    ``coarse`` (see ``_grid_slabs``), or None without it."""
+    sums, subs = [0.0] * len(ps), [0.0] * len(ps)
+    for vals, on in _grid_slabs(f, grid, coarse):
+        sums = [_power_sum(vals, p, t) for p, t in zip(ps, sums)]
+        if on is not None:
+            subs = [_power_sum(vals[on], p, t) for p, t in zip(ps, subs)]
+        del vals  # one slab is held at a time
 
-    Each grid is evaluated once, shown to ``visit(grid, values)``, reduced
-    for every reduce not yet converged and then dropped, so one grid is held
-    at a time and each reduce sees the values it would see alone.  The start
-    grid's estimate is read off the even-index points of the first doubling,
-    so the start grid is evaluated on its own only when no axis can double;
-    then nothing is compared and nothing converges."""
+    def norms(totals, shape):
+        return [t if p == math.inf else (t / math.prod(shape)) ** (1.0 / p)
+                for p, t in zip(ps, totals)]
+
+    return norms(sums, grid), coarse and norms(subs, coarse)
+
+
+def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact):
+    """Double the grid ``start`` within the caps until the estimate of each
+    p of ``ps`` agrees to ``rel_tol`` on two successive grids; returns one
+    (estimate, converged) pair per p, and the norms {p: value} of the even p
+    that ``exact`` (grid -> such p) maps to a grid evaluated here, popped.
+
+    Each grid is evaluated once, reduced for every p not yet converged and
+    every exact p it serves; the sup is a running maximum.  The start grid's
+    estimate is read off the even-index points of the first doubling; only
+    when no axis can double is the start grid evaluated, and nothing converges."""
     grid, doubled = _double_within_caps(start)
-    vals = f.evaluate_grid(grid)
-    visit(grid, vals)
-    prev = [reduce(vals[_even_subgrid(start, grid)]) if doubled else None for reduce in reduces]
-    est = [reduce(vals) for reduce in reduces]
-    del vals
-    live = range(len(reduces))
+    coarse = start if doubled else None
+    prev, est, found = [None] * len(ps), [None] * len(ps), {}
+    live = range(len(ps))
     while True:
+        served = exact.pop(grid, [])
+        new, sub = _grid_norms(f, grid, [ps[i] for i in live] + served, coarse)
+        found.update(zip(served, new[len(live):]))
+        for j, i in enumerate(live):
+            prev[i] = sub[j] if coarse else est[i]
+            est[i] = max(new[j], prev[i] or 0.0) if ps[i] == math.inf else new[j]
         live = [i for i in live if prev[i] is None
                 or not abs(est[i] - prev[i]) <= quad.rel_tol * max(est[i], 1e-300)]
         if not live:
@@ -445,25 +490,8 @@ def _refine(f: TrigPolynomial, start, reduces, quad: QuadratureSpec,
         grid, doubled = _double_within_caps(grid)
         if not doubled:
             break
-        vals = f.evaluate_grid(grid)
-        visit(grid, vals)
-        for i in live:
-            prev[i], est[i] = est[i], reduces[i](vals)
-        del vals
-    return [(e, i not in live) for i, e in enumerate(est)]
-
-
-def _sup(f: TrigPolynomial, spread, quad: QuadratureSpec) -> float:
-    """The largest |f| sampled on the grids refined from four times the
-    Nyquist start."""
-    seen = 0.0
-
-    def running_max(vals):
-        nonlocal seen
-        seen = max(seen, float(np.max(np.abs(vals))))
-        return seen
-
-    return _refine(f, _start_grid(spread, 4), [running_max], quad)[0][0]
+        coarse = None
+    return [(e, i not in live) for i, e in enumerate(est)], found
 
 
 def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> float:
@@ -475,7 +503,7 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     integer p when the grid ``pow2ceil((p/2) w_j + 1)``, finer than the
     degree of |f|^p, holds at most ``MAX_GRID_POINTS`` points.  Such a grid
     can be large: ``1 + e^{i 2^24 x}`` at p = 4 is exact on 2^26 points,
-    about 3 GiB in 1-D (see ``evaluate_grid``).  Other p start at the
+    reduced in 64 slabs of 2^20 (see ``_grid_slabs``).  Other p start at the
     Nyquist grid ``pow2ceil(w_j + 1)`` of |f|^2 (at most ``MAX_GRID_SIDE //
     4`` per axis) and double each axis within the caps until the relative
     change is below ``rel_tol``: a heuristic stop rule, so the result is an
@@ -525,19 +553,14 @@ def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
     refined = []
     for p in ps:
         if p == math.inf:
-            norms[p] = _sup(f, spread, quad)
+            norms[p] = _refine(f, _start_grid(spread, 4), [p], quad, {})[0][0][0]
         elif grid := _exact_grid(spread, p):
             exact.setdefault(grid, []).append(p)
         else:
             refined.append(p)
-
-    def reduce_exact(grid, vals):
-        for p in exact.pop(grid, ()):
-            norms[p] = _lp_mean(vals, p)
-
     if refined:
-        results = _refine(f, _start_grid(spread, 1),
-                          [functools.partial(_lp_mean, p=p) for p in refined], quad, reduce_exact)
+        results, found = _refine(f, _start_grid(spread, 1), refined, quad, exact)
+        norms.update(found)
         for p, (est, converged) in zip(refined, results):
             if not converged:
                 raise QuadratureAccuracyError(
@@ -545,8 +568,8 @@ def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
                     f"within {MAX_GRID_SIDE} points per axis and {MAX_GRID_POINTS} in all",
                     best_estimate=est)
             norms[p] = est
-    for grid in list(exact):
-        reduce_exact(grid, f.evaluate_grid(grid))
+    for grid, served in exact.items():
+        norms.update(zip(served, _grid_norms(f, grid, served)[0]))
     return norms
 
 

@@ -55,6 +55,17 @@ def test_lemmas_exit_codes(capsys):
     assert "lower_condition: False" in out
 
 
+@pytest.mark.parametrize("args, want", [
+    (("--r", "1", "--l", "2", "--alpha", "1000"), "lower_condition: False (log2 c1 19980)"),
+    (("--r", "60", "--l", "61", "--gamma", "0.5"), "upper_condition: False (log2 c2 -1190)"),
+    (("--r", "60", "--l", "61", "--gamma", "59"), "upper_condition: False (c2 9.536743164e-07)"),
+])
+def test_lemmas_prints_a_constant_past_the_float_range_in_log2(capsys, args, want):
+    code, out, _ = run_cli(capsys, "lemmas", "--d", "1", "--b", "0", "--n-max", "128", *args)
+    assert code == 3
+    assert want in out.splitlines()
+
+
 def test_norms_roundtrip(tmp_path, capsys):
     f = TrigPolynomial([[1, 2], [3, 1]], [1.0, -2.0j])
     path = tmp_path / "f.txt"

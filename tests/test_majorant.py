@@ -170,6 +170,14 @@ class TestFloatRange:
         assert rep.violations == [
             "(S_l): coordinate 0, C2 shrinks with depth (8.07794e-28 -> 6.5253e-55)"]
 
+    def test_audit_carries_the_constants_in_log2(self):
+        # C2 = 2^-19980 underflows to 0.0; its log2 stays exact
+        rep = verify_majorant_axioms(P(1, 1000.0, 0.0, l=2000), alpha=0.5, gamma=1.0)
+        assert rep.c2 == 0.0 and rep.log2_c2 == -19980.0
+        assert rep.c1 == 1.0 and rep.log2_c1 == 0.0
+        rep = verify_majorant_axioms(STEEP, alpha=0.5, gamma=1.5)
+        assert rep.c1 == math.inf and rep.log2_c1 == pytest.approx(43209.8, abs=0.1)
+
     def test_audit_reports_tiny_weight(self):
         rep = verify_majorant_axioms(TINY, alpha=1000.0, gamma=1000.0)
         assert rep.all_ok and rep.c1 == 1.0 and rep.c2 == 1.0

@@ -381,13 +381,19 @@ class TestEvaluation:
             one_plus_exp().evaluate_grid((1 << 27,))
 
 
+def record_grids(mp, shapes, then=trigpoly._grid_slabs):
+    """Append the shape of every grid that lp_norms reduces to ``shapes``, at
+    the grid layer, so a grid split into slabs is recorded once, whole; then
+    call ``then``."""
+    mp.setattr(trigpoly, "_grid_slabs",
+               lambda f, grid, coarse=None: shapes.append(tuple(grid)) or then(f, grid, coarse))
+
+
 @pytest.fixture
 def grid_shapes(monkeypatch):
-    """The shape of every grid that evaluate_grid is asked for, in order."""
+    """The shape of every grid that lp_norms reduces, in order."""
     shapes = []
-    evaluate_grid = TrigPolynomial.evaluate_grid
-    monkeypatch.setattr(TrigPolynomial, "evaluate_grid",
-                        lambda f, shape: shapes.append(tuple(shape)) or evaluate_grid(f, shape))
+    record_grids(monkeypatch, shapes)
     return shapes
 
 
@@ -486,8 +492,8 @@ class TestLpNorm:
             grid_shapes.clear()
             got = lp_norm(f, INF, QuadratureSpec(rel_tol=1e-9))
             # the first grid is the first doubling; the result is the largest
-            # value sampled on any grid (a copy: evaluate_grid appends shapes)
-            maxima = [float(np.max(np.abs(f.evaluate_grid(g)))) for g in list(grid_shapes)]
+            # value sampled on any grid
+            maxima = [float(np.max(np.abs(f.evaluate_grid(g)))) for g in grid_shapes]
             assert got == max(maxima)
 
     def test_no_doubling_raises_with_start_estimate(self, grid_shapes, monkeypatch):
@@ -630,6 +636,91 @@ class TestLpNorms:
                     lp_norms(f, ps)
 
 
+def norms_or_error(f, ps, quad, slab_points):
+    """``all_lp_norms`` with grids of more than ``slab_points`` points reduced
+    in slabs, as (values, None) or ((best estimate,), message)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trigpoly, "SLAB_POINTS", slab_points)
+        got = all_lp_norms(f, ps, quad)
+    return (got[1:], got[0]) if isinstance(got[0], str) else (got, None)
+
+
+class TestSlabs:
+    """A grid of more than SLAB_POINTS points is reduced one residue slab at
+    a time, with the norms of the whole grid up to rounding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_slabbed_norms_agree_with_the_whole_grid(self, data):
+        d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        spread = [data.draw(st.integers(0, (300, 40, 12)[d - 1]), label=f"w{j}")
+                  for j in range(d)]
+        n = data.draw(st.integers(1, 8), label="terms")
+        ks = np.stack([rng.integers(0, w + 1, size=n + 2) for w in spread], axis=1)
+        ks[0], ks[1] = 0, spread
+        f = TrigPolynomial(ks + rng.integers(-50, 51, size=d),
+                           rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2))
+        ps = data.draw(st.lists(st.sampled_from((1, 1.5, 3, 4, INF)), min_size=1, max_size=3),
+                       label="ps")
+        quad = QuadratureSpec(rel_tol=data.draw(st.sampled_from((1e-3, 1e-6)), label="rel_tol"))
+        slab = 1 << data.draw(st.integers(6, 10), label="log2 SLAB_POINTS")
+        with pytest.MonkeyPatch.context() as mp:
+            # 2^16 points at most: every grid past 2^10 is slabbed, none is slow
+            mp.setattr(trigpoly, "MAX_GRID_POINTS", 1 << 16)
+            whole, whole_error = norms_or_error(f, ps, quad, trigpoly.MAX_GRID_POINTS)
+            got, error = norms_or_error(f, ps, quad, slab)
+        assert error == whole_error
+        assert got == pytest.approx(whole, rel=1e-12)
+
+    def test_no_evaluation_past_the_slab_size(self, monkeypatch):
+        # every evaluate_grid call gets at most SLAB_POINTS points, unless the
+        # grid's longest axis is shorter than points / SLAB_POINTS: then each
+        # point of that axis is a slab, of side 1 there and more points
+        sizes, shapes = [], []
+        one_sided = [[0, 0, 0], [9, 11, 5], [3, 2, 1]]
+        cases = [(TrigPolynomial([[0], [700]], [1.0, 0.5j]), 1.5),
+                 (TrigPolynomial([[0, 0], [30, 17]], [1.0, -0.5]), INF),
+                 (TrigPolynomial([[0, 0], [40, 9], [3, 3]], [1.0, 0.5j, 2.0]), 4),
+                 (TrigPolynomial(one_sided, [1.0, 0.3, -0.7j]), 1)]
+        quad = QuadratureSpec(rel_tol=1e-3)
+        whole = [lp_norm(f, p, quad) for f, p in cases]
+        evaluate_grid = TrigPolynomial.evaluate_grid
+        monkeypatch.setattr(TrigPolynomial, "evaluate_grid",
+                            lambda f, shape: sizes.append(tuple(shape)) or evaluate_grid(f, shape))
+        monkeypatch.setattr(trigpoly, "SLAB_POINTS", 1 << 8)
+        record_grids(monkeypatch, shapes)
+        assert [lp_norm(f, p, quad) for f, p in cases] == pytest.approx(whole, rel=1e-12)
+        assert max(math.prod(g) for g in shapes) > 1 << 8
+        capped = [s for s in sizes if math.prod(s) > 1 << 8]
+        assert all(min(s) == 1 for s in capped)
+        # the 3-D grid (32, 32, 16) has 16384 points: 32 slabs of 512 along
+        # axis 1, the last of its longest axes
+        assert (32, 1, 16) in capped
+
+    def test_slabs_are_the_residue_classes_of_the_grid(self, monkeypatch):
+        # the values of slab r are the points with index r mod S on the
+        # longest axis (the last of equals), and ``on`` picks the slab's
+        # points on the coarse grid
+        monkeypatch.setattr(trigpoly, "SLAB_POINTS", 1 << 6)
+        rng = np.random.default_rng(5)
+        f = TrigPolynomial(rng.integers(-40, 40, size=(9, 2)),
+                           rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        for grid, coarse, slabs, a in [((32, 16), (16, 8), 8, 0), ((16, 32), (16, 16), 8, 1),
+                                       ((4, 64), (4, 32), 4, 1), ((16, 16), (8, 16), 4, 1)]:
+            whole = f.evaluate_grid(grid)
+            on_coarse = whole[::grid[0] // coarse[0], ::grid[1] // coarse[1]]
+            seen = []
+            for r, (vals, on) in enumerate(trigpoly._grid_slabs(f, grid, coarse)):
+                want = np.take(whole, range(r, grid[a], slabs), axis=a)
+                np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12 * np.abs(whole).max())
+                if on is not None:
+                    seen.append(vals[on].ravel())
+            got = np.sort_complex(np.concatenate(seen))
+            np.testing.assert_allclose(got, np.sort_complex(on_coarse.ravel()), atol=1e-10)
+            assert r + 1 == slabs
+
+
 def degree_rule_first_grid(f, p):
     """The first grid lp_norm would evaluate if it sized grids from the
     largest |k_j| (as if |f|^2 had degree 2 n_j) instead of the spread."""
@@ -696,14 +787,8 @@ class TestSpreadSizing:
         p = data.draw(st.sampled_from((1, 1.5, 3, 4, 6, INF)), label="p")
         side = data.draw(st.sampled_from((8, 64, 512, 8192)), label="MAX_GRID_SIDE")
         shapes = []
-        evaluate_grid = TrigPolynomial.evaluate_grid
-
-        def record(g, shape):
-            shapes.append(tuple(shape))
-            return evaluate_grid(g, shape)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TrigPolynomial, "evaluate_grid", record)
+            record_grids(mp, shapes)
             mp.setattr(trigpoly, "MAX_GRID_SIDE", side)
             try:
                 lp_norm(f, p, QuadratureSpec(rel_tol=1e-3))
@@ -736,13 +821,12 @@ class TestSpreadSizing:
             class FirstGrid(Exception):
                 pass
 
-            def record(g, shape):
-                shapes.append(tuple(shape))
+            def stop(*args):
                 raise FirstGrid
 
             f = TrigPolynomial([[0] * d, spread], [1.0, 1.0])
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(TrigPolynomial, "evaluate_grid", record)
+                record_grids(mp, shapes, then=stop)
                 with pytest.raises(FirstGrid):
                     lp_norm(f, p)
             return shapes[0]
