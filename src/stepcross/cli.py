@@ -36,7 +36,7 @@ from .indexsets import chi, q_size, size_prediction, tail_sum, theta, theta_prim
 from .kernels import band_kernel, fejer, k_packet, vallee_poussin
 from .majorant import MajorantParams, verify_majorant_axioms
 from .polyio import dumps_polynomial, read_polynomial
-from .trigpoly import QuadratureSpec, lp_norm
+from .trigpoly import QuadratureSpec, lp_norm, lp_norms
 from .verify import SECTION_NAMES, fmt_value, format_report, run_verification
 
 
@@ -139,8 +139,8 @@ def _cmd_norms(args) -> int:
     lines.append(f"terms: {f.n_terms}")
     lines.append(f"degrees: {','.join(str(v) for v in f.degrees)}")
     ps = _parse_list(args.p, float, "exponent")
-    for p in ps:
-        lines.append(f"lp,{fmt_value(p)},{fmt_value(lp_norm(f, p, quad))}")
+    for p, value in zip(ps, lp_norms(f, ps, quad)):
+        lines.append(f"lp,{fmt_value(p)},{fmt_value(value)}")
     if args.r is not None:
         om = MajorantParams(d=f.d, r=args.r, b=_parse_b(args.b), l=args.l)
         bp = BesovParams(ps[0], args.theta)

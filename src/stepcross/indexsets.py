@@ -215,7 +215,8 @@ def _cross(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
     its table terms plus the smallest terms of the later axes stay under the
     prune limit.  The membership rule of ``in_cross`` then decides."""
     r, b = params.r, params.b
-    # one more slack covers the rounding of a table sum against log2_weight
+    # the second slack covers the rounding of the ``later`` lower bound on
+    # the axes before the last
     limit = _log2_limit(n, slacks=2)
     mins = [_axis_table(r, bj, -math.inf)[1].min() for bj in b]
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -232,9 +233,9 @@ def _cross(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
                 f"hyperbolic cross at N={n} exceeds {ENUMERATION_CAP} boxes")
         rows = np.column_stack([rows[keep_row], s[keep_s]])
         used = used[keep_row] + w[keep_s]
-    log2w = log2_weight(params, rows)
-    keep = _inside(log2w, n)
-    rows, log2w = rows[keep], log2w[keep]
+    # ``used`` adds log2_weight's terms in its column order from 0.0: its bits
+    keep = _inside(used, n)
+    rows, log2w = rows[keep], used[keep]
     rows.setflags(write=False)
     log2w.setflags(write=False)
     return rows, log2w
@@ -274,22 +275,20 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
         return IndexFamily(kind="theta_prime", n=n, members=fam.members)
 
     big_l = math.floor(math.log2(n))
-    r, b, d = params.r, params.b, params.d
+    r, d = params.r, params.d
     lo = max(1, math.ceil(big_l / (2 * r * d)))
     hi = math.floor(big_l / (r * d))
     if hi < lo:
         return IndexFamily(kind="theta_prime", n=n, members=())
     prefixes = _tensor_rows([np.arange(lo, hi + 1)] * (d - 1))
-    # every prefix is outside chi(N) by the table's last s
-    least = sum(_axis_table(r, bj, -math.inf)[1].min() for bj in b[:-1])
-    s, _ = _axis_table(r, b[-1], _log2_limit(n, slacks=2) - least)
-    last = np.empty(len(prefixes), dtype=np.int64)
-    step = max(1, (1 << 18) // s.size)
-    for i in range(0, len(prefixes), step):
-        block = prefixes[i:i + step]
-        cand = np.column_stack([np.repeat(block, s.size, axis=0), np.tile(s, len(block))])
-        outside = ~in_cross(params, cand, n).reshape(len(block), s.size)
-        last[i:i + step] = s[outside.argmax(axis=1)]
+    # mark the cross rows of each prefix (row-lex order is ravel order) by
+    # their last coordinate; the first unmarked s >= 1 is outside chi(N)
+    rows = _cross(params, n)[0]
+    rows = rows[((rows[:, :-1] >= lo) & (rows[:, :-1] <= hi)).all(axis=1)]
+    inside = np.zeros((len(prefixes), rows[:, -1].max(initial=0) + 2), dtype=bool)
+    inside[np.ravel_multi_index(tuple((rows[:, :-1] - lo).T), (hi - lo + 1,) * (d - 1)),
+           rows[:, -1]] = True
+    last = inside[:, 1:].argmin(axis=1) + 1
     rows = np.column_stack([prefixes, last])
     rows = rows[in_cross(params, rows, n * _exp2(float(params.l))) & (last >= lo)]
     return IndexFamily(kind="theta_prime", n=n, members=_members(rows))

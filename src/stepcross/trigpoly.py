@@ -10,15 +10,18 @@ available: Parseval for p = 2, and full-degree sampling for even integer p
 integrates it without error).  Other exponents fall back to adaptive grid
 refinement from the Nyquist grid of |f|^2, stopped when two successive grids
 agree (an estimate, not a certified error); the sup norm refines a sampled
-maximum, which never exceeds the true sup.  One loop, ``_refine``, does
-both.  Every grid holds at most ``MAX_GRID_POINTS`` points, and a refined
-grid at most ``MAX_GRID_SIDE`` points per axis (see ``lp_norm`` for where
-that limits the adaptive mean).  A mean or a maximum adds up over slabs, so
-a norm holds the values of at most ``SLAB_POINTS`` points at once, however
-large its grid (``_grid_slabs``).  ``lp_norms`` gives the same values for
-several p from one pass over the grids: the refined p double one grid in
-lockstep, and an exact even-p grid that the refinement evaluates anyway
-is reduced there instead of twice.
+maximum, which never exceeds the true sup.  Every grid holds at most
+``MAX_GRID_POINTS`` points, and a refined grid at most ``MAX_GRID_SIDE``
+points per axis (see ``lp_norm`` for where that limits the adaptive mean).
+A mean or a maximum adds up over slabs, so a norm holds the values of at
+most ``SLAB_POINTS`` points at once, however large its grid; a grid of at
+most ``SLAB_POINTS`` points is one slab (``_grid_slabs``).
+
+``lp_norms`` gives the same values for several p from one pass over the
+grids.  Each sampled p has one owner: its exact grid, the sup ladder or the
+mean ladder.  A ladder is one ``_refine`` call: it doubles one grid for all
+its p, returns their norms and raises for a p that does not converge.  The
+mean ladder also reduces each exact grid it evaluates anyway.
 
 Grids are sized from the spread w_j = max k_j - min k_j of each axis, not
 from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
@@ -425,18 +428,16 @@ def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
     """The values of f on ``grid`` (sides powers of two) as (values, on) per
     slab, ``values[on]`` being the slab's points on ``coarse``, a grid that
     ``grid`` doubles on some axes (``on`` is None without ``coarse`` or when
-    the slab holds none).  Past ``SLAB_POINTS`` points, the grid is cut into
-    S = pow2ceil(points / SLAB_POINTS) >= 2 slabs, at most G_a, along its
-    longest axis a (the last of equals, which keeps ``evaluate_grid``'s lines):
-    slab r, the indices r mod S there, is f e^{2 pi i r k_a / G_a} on G_a / S
-    points (Cooley and Tukey's decimation in time), phase reduced exactly."""
+    the slab holds none: the coarse step on axis a does not divide r).  The
+    grid is cut into S = pow2ceil(points / SLAB_POINTS) slabs, at most G_a,
+    along its longest axis a (the last of equals, which keeps
+    ``evaluate_grid``'s lines): slab r, the indices r mod S there, is
+    f e^{2 pi i r k_a / G_a} on G_a / S points (Cooley and Tukey's decimation
+    in time), phase reduced exactly; S = 1 up to ``SLAB_POINTS`` points."""
     steps = [g // c for g, c in zip(grid, coarse or grid)]
-    if math.prod(grid) <= SLAB_POINTS:
-        yield f.evaluate_grid(grid), coarse and tuple(slice(None, None, k) for k in steps)
-        return
     a = max(reversed(range(len(grid))), key=grid.__getitem__)
     s = min(grid[a], pow2ceil(-(-math.prod(grid) // SLAB_POINTS)))
-    on = tuple(slice(None, None, 1 if j == a else k) for j, k in enumerate(steps))
+    on = tuple(slice(None, None, max(1, k // s) if j == a else k) for j, k in enumerate(steps))
     for r in range(s):
         twisted = f if r == 0 else TrigPolynomial._canonical(
             f.ks, f.cs * np.exp(2j * np.pi / grid[a] * (r * np.mod(f.ks[:, a], grid[a]) % grid[a])))
@@ -444,11 +445,12 @@ def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
                None if coarse is None or r % steps[a] else on)
 
 
-def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None):
+def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0):
     """For each p of ``ps``, the L_p mean of f on ``grid`` (the largest |f|
-    for p = inf), added up one slab at a time; and the same on the points of
-    ``coarse`` (see ``_grid_slabs``), or None without it."""
-    sums, subs = [0.0] * len(ps), [0.0] * len(ps)
+    for p = inf), added up one slab at a time; and for the first
+    ``n_coarse`` of them the same on the points of ``coarse`` (see
+    ``_grid_slabs``), or None without it."""
+    sums, subs = [0.0] * len(ps), [0.0] * n_coarse
     for vals, on in _grid_slabs(f, grid, coarse):
         sums = [_power_sum(vals, p, t) for p, t in zip(ps, sums)]
         if on is not None:
@@ -462,36 +464,36 @@ def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None):
     return norms(sums, grid), coarse and norms(subs, coarse)
 
 
-def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact):
-    """Double the grid ``start`` within the caps until the estimate of each
-    p of ``ps`` agrees to ``rel_tol`` on two successive grids; returns one
-    (estimate, converged) pair per p, and the norms {p: value} of the even p
-    that ``exact`` (grid -> such p) maps to a grid evaluated here, popped.
-
-    Each grid is evaluated once, reduced for every p not yet converged and
-    every exact p it serves; the sup is a running maximum.  The start grid's
-    estimate is read off the even-index points of the first doubling; only
-    when no axis can double is the start grid evaluated, and nothing converges."""
+def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact) -> dict:
+    """The norms {p: value} from one ladder: ``start`` doubles within the
+    caps until each p of ``ps`` agrees to ``rel_tol`` on two successive
+    grids.  Also the even p that ``exact`` (grid -> such p) maps to a grid
+    evaluated here; each grid is evaluated once, for both.  The sup is a
+    running maximum and never raises; the first other p that does not
+    converge raises QuadratureAccuracyError with its best estimate.  The
+    start's estimate is read off the even-index points of the first doubling;
+    only when no axis can double is the start evaluated, and nothing converges."""
     grid, doubled = _double_within_caps(start)
-    coarse = start if doubled else None
-    prev, est, found = [None] * len(ps), [None] * len(ps), {}
-    live = range(len(ps))
-    while True:
-        served = exact.pop(grid, [])
-        new, sub = _grid_norms(f, grid, [ps[i] for i in live] + served, coarse)
-        found.update(zip(served, new[len(live):]))
-        for j, i in enumerate(live):
-            prev[i] = sub[j] if coarse else est[i]
-            est[i] = max(new[j], prev[i] or 0.0) if ps[i] == math.inf else new[j]
-        live = [i for i in live if prev[i] is None
-                or not abs(est[i] - prev[i]) <= quad.rel_tol * max(est[i], 1e-300)]
-        if not live:
-            break
+    coarse, live, norms = start if doubled else None, list(ps), {}
+    while live:
+        served = exact.get(grid, [])
+        new, sub = _grid_norms(f, grid, live + served, coarse, len(live))
+        prev = sub or [norms.get(p) for p in live]
+        norms.update(zip(live + served, new))
+        norms.update((p, max(norms[p], old or 0.0)) for p, old in zip(live, prev) if p == math.inf)
+        live = [p for p, old in zip(live, prev) if old is None
+                or not abs(norms[p] - old) <= quad.rel_tol * max(norms[p], 1e-300)]
         grid, doubled = _double_within_caps(grid)
         if not doubled:
             break
         coarse = None
-    return [(e, i not in live) for i, e in enumerate(est)], found
+    for p in live:
+        if p != math.inf:
+            raise QuadratureAccuracyError(
+                f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
+                f"within {MAX_GRID_SIDE} points per axis and {MAX_GRID_POINTS} in all",
+                best_estimate=norms[p])
+    return norms
 
 
 def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> float:
@@ -524,12 +526,13 @@ def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple
     grid evaluated once for all the p that need it.
 
     The p that refine (fractional, odd, and even p whose exact grid is past
-    ``MAX_GRID_POINTS``) double one grid in lockstep from the shared start:
-    each grid is reduced for every p not yet converged, and each p keeps its
-    own stop rule.  An even p whose exact grid has the shape of a grid the
-    refinement evaluates is reduced there; the other exact grids and the sup
-    are evaluated on their own.  One grid is held at a time.  The first p
-    of ``ps`` that does not converge raises QuadratureAccuracyError.
+    ``MAX_GRID_POINTS``) share the mean ladder: one grid doubles in lockstep
+    from the shared start, each grid is reduced for every p not yet
+    converged, and each p keeps its own stop rule.  An even p whose exact
+    grid is a grid of that ladder is reduced there; the other exact grids
+    are evaluated on their own, and the sup has its own ladder.  One grid is
+    held at a time.  The first p of ``ps`` that does not converge raises
+    QuadratureAccuracyError.
     """
     quad = quad or QuadratureSpec()
     ps = check_exponents(ps, "p")
@@ -546,30 +549,23 @@ def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple
 
 def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
     """The norms of f at the distinct exponents ``ps`` (none of them 2), as
-    a dict p -> norm, from one pass over the grids."""
+    a dict p -> norm: the sup ladder runs first, then the mean ladder, then
+    the exact grids that the mean ladder did not evaluate."""
     spread = [int(w) for w in np.ptp(f.ks, axis=0)]  # the degrees of |f|^2
-    norms = {}
-    exact = {}  # an exact even-p grid -> the p it serves
-    refined = []
+    sup, mean, exact, norms = [], [], {}, {}  # exact: an exact even-p grid -> its p
     for p in ps:
         if p == math.inf:
-            norms[p] = _refine(f, _start_grid(spread, 4), [p], quad, {})[0][0][0]
+            sup.append(p)
         elif grid := _exact_grid(spread, p):
             exact.setdefault(grid, []).append(p)
         else:
-            refined.append(p)
-    if refined:
-        results, found = _refine(f, _start_grid(spread, 1), refined, quad, exact)
-        norms.update(found)
-        for p, (est, converged) in zip(refined, results):
-            if not converged:
-                raise QuadratureAccuracyError(
-                    f"L_{p} quadrature did not reach rel_tol={quad.rel_tol} "
-                    f"within {MAX_GRID_SIDE} points per axis and {MAX_GRID_POINTS} in all",
-                    best_estimate=est)
-            norms[p] = est
+            mean.append(p)
+    for own, m, serves in ((sup, 4, {}), (mean, 1, exact)):
+        if own:
+            norms.update(_refine(f, _start_grid(spread, m), own, quad, serves))
     for grid, served in exact.items():
-        norms.update(zip(served, _grid_norms(f, grid, served)[0]))
+        if served[0] not in norms:
+            norms.update(zip(served, _grid_norms(f, grid, served)[0]))
     return norms
 
 

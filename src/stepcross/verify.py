@@ -478,6 +478,8 @@ def run_section(name: str, quick: bool = False) -> SectionResult:
 
 def run_verification(names=None, quick: bool = False) -> list[SectionResult]:
     names = list(names) if names is not None else list(SECTION_NAMES)
+    if not names:
+        raise ParameterError(f"no section named; choose from {', '.join(SECTION_NAMES)}")
     return [run_section(name, quick) for name in names]
 
 

@@ -423,6 +423,13 @@ def test_verify_subset_and_exit(capsys):
     assert "overall: PASS (2/2 sections)" in out
 
 
+def test_verify_naming_no_section_exit_2(capsys):
+    # a selection of only separators names no section: nothing ran, no pass
+    code, err = exit_code(capsys, "verify-all", "--quick", "--sections", ",")
+    assert code == 2
+    assert "no section named" in err
+
+
 def test_verify_all_quick_deterministic(capsys):
     argv = ["verify-all", "--quick", "--sections", "identities,tail-domination"]
     _, out1, _ = run_cli(capsys, *argv)

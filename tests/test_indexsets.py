@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepcross.errors import CapacityError, ParameterError
-from stepcross.majorant import MajorantParams
+from stepcross.majorant import MajorantParams, log2_weight
 from stepcross.verify import MIXED_2D, PLAIN_2D, PLAIN_3D
 from stepcross.indexsets import (
     _cross,
@@ -219,6 +220,31 @@ class TestThetaPrime:
 
     def test_tiny_n_empty(self):
         assert len(theta_prime(P(3, 1.5, (0.0, 0.0, 0.0)), 2)) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_a_scan_of_the_last_coordinate(self, data):
+        # each prefix's last coordinate is the smallest s >= 1 that in_cross
+        # puts outside chi(N); the docstring's two filters follow
+        d = data.draw(st.sampled_from((2, 3)), label="d")
+        r = data.draw(st.sampled_from((0.5, 1.0, 1.5)), label="r")
+        b = tuple(data.draw(st.floats(-3.0, r, exclude_max=True), label=f"b{j}")
+                  for j in range(d))
+        n = 2.0 ** data.draw(st.floats(0.0, 24.0), label="log2 N")
+        params = P(d, r, b, l=data.draw(st.integers(2, 3), label="l"))
+        big_l = math.floor(math.log2(n))
+        lo, hi = max(1, math.ceil(big_l / (2 * r * d))), math.floor(big_l / (r * d))
+        want = []
+        for prefix in itertools.product(range(lo, hi + 1), repeat=d - 1):
+            s = 1
+            while in_cross(params, [prefix + (s,)], n)[0]:
+                s += 1
+            if s >= lo and in_cross(params, [prefix + (s,)], n * 2.0 ** params.l)[0]:
+                want.append(prefix + (s,))
+        assert theta_prime(params, n).members == tuple(want)
+        # the cross keeps its running table sums, which are log2_weight's bits
+        rows, log2w = _cross(params, n)
+        assert np.array_equal(log2w, log2_weight(params, rows))
 
 
 class TestQSet:

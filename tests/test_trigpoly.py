@@ -595,6 +595,20 @@ class TestLpNorms:
         assert len(set(grid_shapes)) == len(grid_shapes) == len(alone) - 1 == 4
         assert set(grid_shapes) == set(alone)
 
+    def test_served_exact_p_is_reduced_once(self, monkeypatch):
+        # the polynomial of test_shared_grid_is_evaluated_once: its exact
+        # p = 4 grid (128, 32), one slab, is the first doubling of the p = 1.5
+        # start, whose coarse points only p = 1.5 reads
+        rng = np.random.default_rng(3)
+        ks = np.c_[rng.integers(0, 41, size=30), rng.integers(0, 10, size=30)]
+        ks[:2] = [[0, 0], [40, 9]]
+        f = TrigPolynomial(ks, rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        reduced, power_sum = [], trigpoly._power_sum
+        monkeypatch.setattr(trigpoly, "_power_sum",
+                            lambda values, p, total: reduced.append(p) or power_sum(values, p, total))
+        lp_norms(f, (1.5, 4.0), QuadratureSpec(rel_tol=1e-6))
+        assert reduced.count(4.0) == 1
+
     @pytest.mark.parametrize("side, rel_tol, ps, failing", [
         (16, 1e-13, (4, 1.5, 1), 1.5),
         (16, 1e-13, (INF, 1, 1.5), 1),
