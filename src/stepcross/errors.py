@@ -14,6 +14,8 @@ import numbers
 
 import numpy as np
 
+__all__ = ["ParameterError", "UnsupportedRegimeError", "CapacityError", "QuadratureAccuracyError"]
+
 
 class ParameterError(ValueError):
     """A argument violates a documented precondition."""

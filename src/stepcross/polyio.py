@@ -8,7 +8,6 @@ lossless.  Lines starting with ``#`` and blank lines are ignored on read.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,7 @@ def write_polynomial(f: TrigPolynomial, target) -> None:
     text = dumps_polynomial(f)
     if isinstance(target, (str, Path)):
         Path(target).write_text(text)
-    elif isinstance(target, io.TextIOBase) or hasattr(target, "write"):
+    elif hasattr(target, "write"):
         target.write(text)
     else:
         raise ParameterError(f"cannot write polynomial to {target!r}")

@@ -9,10 +9,11 @@ available: Parseval for p = 2, and full-degree sampling for even integer p
 (|f|^p is itself a trigonometric polynomial, so a grid finer than its degree
 integrates it without error).  Other exponents fall back to adaptive grid
 refinement from the Nyquist grid of |f|^2, stopped when two successive grids
-agree (an estimate, not a certified error); the sup norm refines a sampled
-maximum, which never exceeds the true sup.  Every grid holds at most
-``MAX_GRID_POINTS`` points, and a refined grid at most ``MAX_GRID_SIDE``
-points per axis (see ``lp_norm`` for where that limits the adaptive mean).
+agree (an estimate, not a certified error); the sup norm is the largest value
+on the last grid, which holds every earlier grid's points, and never exceeds
+the true sup.  Every grid holds at most ``MAX_GRID_POINTS`` points, and a
+refined grid at most ``MAX_GRID_SIDE`` points per axis (see ``lp_norm`` for
+where that limits the adaptive mean).
 A mean or a maximum adds up over slabs, so a norm holds the values of at
 most ``SLAB_POINTS`` points at once, however large its grid; a grid of at
 most ``SLAB_POINTS`` points is one slab (``_grid_slabs``).
@@ -20,8 +21,9 @@ most ``SLAB_POINTS`` points is one slab (``_grid_slabs``).
 ``lp_norms`` gives the same values for several p from one pass over the
 grids.  Each sampled p has one owner: its exact grid, the sup ladder or the
 mean ladder.  A ladder is one ``_refine`` call: it doubles one grid for all
-its p, returns their norms and raises for a p that does not converge.  The
-mean ladder also reduces each exact grid it evaluates anyway.
+its p, compares each p with its own value on the points of the grid before,
+returns their norms and raises for a p that does not converge.  Either
+ladder also reduces each exact grid it evaluates anyway.
 
 Grids are sized from the spread w_j = max k_j - min k_j of each axis, not
 from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
@@ -466,27 +468,27 @@ def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0):
 
 def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact) -> dict:
     """The norms {p: value} from one ladder: ``start`` doubles within the
-    caps until each p of ``ps`` agrees to ``rel_tol`` on two successive
-    grids.  Also the even p that ``exact`` (grid -> such p) maps to a grid
-    evaluated here; each grid is evaluated once, for both.  The sup is a
-    running maximum and never raises; the first other p that does not
-    converge raises QuadratureAccuracyError with its best estimate.  The
-    start's estimate is read off the even-index points of the first doubling;
-    only when no axis can double is the start evaluated, and nothing converges."""
+    caps until each p of ``ps`` agrees to ``rel_tol`` with its own value on
+    the points of the grid before (the coarse points of ``_grid_slabs``), so
+    nothing is carried between steps.  Also the norms of the even p that
+    ``exact`` (grid -> such p) lists for a grid evaluated here; that grid is
+    popped from ``exact``, so no grid is evaluated twice.  The sup never
+    raises; the first other p that does not converge raises
+    QuadratureAccuracyError with its best estimate.  Only when no axis can
+    double is the start evaluated, alone, and nothing converges."""
     grid, doubled = _double_within_caps(start)
     coarse, live, norms = start if doubled else None, list(ps), {}
     while live:
-        served = exact.get(grid, [])
-        new, sub = _grid_norms(f, grid, live + served, coarse, len(live))
-        prev = sub or [norms.get(p) for p in live]
+        served = exact.pop(grid, [])
+        new, old = _grid_norms(f, grid, live + served, coarse, len(live))
         norms.update(zip(live + served, new))
-        norms.update((p, max(norms[p], old or 0.0)) for p, old in zip(live, prev) if p == math.inf)
-        live = [p for p, old in zip(live, prev) if old is None
-                or not abs(norms[p] - old) <= quad.rel_tol * max(norms[p], 1e-300)]
-        grid, doubled = _double_within_caps(grid)
+        if old is None:
+            break
+        live = [p for p, o in zip(live, old)
+                if not abs(norms[p] - o) <= quad.rel_tol * max(norms[p], 1e-300)]
+        coarse, (grid, doubled) = grid, _double_within_caps(grid)
         if not doubled:
             break
-        coarse = None
     for p in live:
         if p != math.inf:
             raise QuadratureAccuracyError(
@@ -516,7 +518,8 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     ``1 + e^{i 4096 x}`` at p = 1.5 gives 2.0, where the true norm is
     1.3530.  p = inf refines a sampled maximum from four times the Nyquist
     grid, under the same start cap, and never raises; the result is the
-    largest value sampled on any grid, a lower estimate of the true sup.
+    largest value on the last grid, which holds every earlier grid's
+    points, a lower estimate of the true sup.
     """
     return lp_norms(f, (p,), quad)[0]
 
@@ -528,11 +531,11 @@ def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple
     The p that refine (fractional, odd, and even p whose exact grid is past
     ``MAX_GRID_POINTS``) share the mean ladder: one grid doubles in lockstep
     from the shared start, each grid is reduced for every p not yet
-    converged, and each p keeps its own stop rule.  An even p whose exact
-    grid is a grid of that ladder is reduced there; the other exact grids
-    are evaluated on their own, and the sup has its own ladder.  One grid is
-    held at a time.  The first p of ``ps`` that does not converge raises
-    QuadratureAccuracyError.
+    converged, and each p keeps its own stop rule.  The sup has its own
+    ladder.  An even p whose exact grid is a grid of either ladder is
+    reduced there, once; the other exact grids are evaluated on their own.
+    One grid is held at a time.  The first p of ``ps`` that does not
+    converge raises QuadratureAccuracyError.
     """
     quad = quad or QuadratureSpec()
     ps = check_exponents(ps, "p")
@@ -550,7 +553,7 @@ def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple
 def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
     """The norms of f at the distinct exponents ``ps`` (none of them 2), as
     a dict p -> norm: the sup ladder runs first, then the mean ladder, then
-    the exact grids that the mean ladder did not evaluate."""
+    the exact grids that neither ladder evaluated."""
     spread = [int(w) for w in np.ptp(f.ks, axis=0)]  # the degrees of |f|^2
     sup, mean, exact, norms = [], [], {}, {}  # exact: an exact even-p grid -> its p
     for p in ps:
@@ -560,12 +563,11 @@ def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
             exact.setdefault(grid, []).append(p)
         else:
             mean.append(p)
-    for own, m, serves in ((sup, 4, {}), (mean, 1, exact)):
+    for own, m in ((sup, 4), (mean, 1)):
         if own:
-            norms.update(_refine(f, _start_grid(spread, m), own, quad, serves))
+            norms.update(_refine(f, _start_grid(spread, m), own, quad, exact))
     for grid, served in exact.items():
-        if served[0] not in norms:
-            norms.update(zip(served, _grid_norms(f, grid, served)[0]))
+        norms.update(zip(served, _grid_norms(f, grid, served)[0]))
     return norms
 
 

@@ -31,7 +31,7 @@ from .indexsets import (_tensor_rows, q_set, q_size, rho, size_prediction, tail_
                         theta_sum)
 from .kernels import band_multiplier, fejer, vallee_poussin
 from .majorant import MajorantParams
-from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, nikolskii_check, pow2ceil, random_in_spectrum
+from .trigpoly import QuadratureSpec, lp_norm, nikolskii_check, pow2ceil, random_in_spectrum
 from .extremal import WitnessConfig, g5_packet_normalized, g6_peak_value, g7_stack_normalized
 
 __all__ = [
@@ -189,10 +189,7 @@ def check_identities(quick: bool = False) -> SectionResult:
     rows.append(("band_partition_exact", len(pts), 0.0 if partition_exact else 1.0, 0.0))
     details.append(f"partition grid: {len(pts)} frequencies, 64 bands, exact: {partition_exact}")
 
-    passed = (dev_parseval <= IDENTITY_RTOL and dev_lp <= IDENTITY_RTOL
-              and dev_even <= IDENTITY_RTOL and dev_profile == 0.0
-              and dev_peak <= IDENTITY_RTOL and dev_l1 <= KERNEL_L1_TOL
-              and partition_exact)
+    passed = all(dev <= tol for _, _, dev, tol in rows)
     summary = (f"max deviations: parseval {dev_parseval:.3e}, block-sum {dev_lp:.3e}, "
                f"even {dev_even:.3e}, profiles {dev_profile:.1e}, peaks {dev_peak:.3e}, "
                f"mass {dev_l1:.3e}; partition exact: {partition_exact}")
@@ -381,29 +378,30 @@ def check_mean_square_rates(quick: bool = False) -> SectionResult:
                          ("family", "n", "m", "error", "theory", "ratio"), rows, details)
 
 
+def _witnesses(om, bp, q, build, quick: bool, quad=None):
+    """Per N = 2^12 .. 2^18 (2^14 when ``quick``): the config, the witness
+    ``build(config)``, whether its cross projection vanishes, its smoothness
+    norm, its L_q error, M = |Q(N)| and the predicted rate at M."""
+    regime = classify_regime(om, bp.p, q, bp.theta)
+    for n in _octave_range(12, 14 if quick else 18):
+        cfg = WitnessConfig(omega=om, bp=bp, n=n)
+        f = build(cfg)
+        m = q_size(om, n)
+        yield (cfg, f, project_q(f, om, n).is_zero, besov_norm(f, om, bp), lp_norm(f, q, quad), m,
+               theoretical_rate(om, regime, m))
+
+
 def check_averaged_witness(quick: bool = False) -> SectionResult:
     """The packet-cloud witness: bounded norm, zero cross projection, and
     L1 error within a fixed band of the predicted rate at the p = 2 edge
     of the small-integrability regime."""
-    om, bp, q = PLAIN_2D, BesovParams(2.0, 3.0), 1.0
-    hi = 14 if quick else 18
-    quad = QuadratureSpec(rel_tol=1e-3)
-    regime = classify_regime(om, bp.p, q, bp.theta)
-    rows = []
-    norms, ratios, proj_zero = [], [], True
-    for n in _octave_range(12, hi):
-        cfg = WitnessConfig(omega=om, bp=bp, n=n)
-        f = g5_packet_normalized(cfg)
-        proj_zero &= project_q(f, om, n).is_zero
-        bnorm = besov_norm(f, om, bp)
-        err = lp_norm(f, q, quad)
-        m = q_size(om, n)
-        thy = theoretical_rate(om, regime, m)
-        norms.append(bnorm)
-        ratios.append(err / thy)
-        rows.append((n, m, bnorm, err, thy, err / thy))
-    norm_band = _band(norms)
-    ratio_band = _band(ratios)
+    rows, proj_zero = [], True
+    for cfg, _, zero, bnorm, err, m, thy in _witnesses(
+            PLAIN_2D, BesovParams(2.0, 3.0), 1.0, g5_packet_normalized, quick,
+            QuadratureSpec(rel_tol=1e-3)):
+        proj_zero &= zero
+        rows.append((cfg.n, m, bnorm, err, thy, err / thy))
+    norm_band, ratio_band = (_band([row[i] for row in rows]) for i in (2, 5))
     passed = proj_zero and norm_band <= WITNESS_NORM_BAND and ratio_band <= WITNESS_RATIO_BAND
     summary = (f"projection vanishes: {proj_zero}; norm band {norm_band:.3f} "
                f"(tol {WITNESS_NORM_BAND}); error/theory band {ratio_band:.3f} "
@@ -416,32 +414,18 @@ def check_uniform_witness(quick: bool = False) -> SectionResult:
     """The packet-stack witness: bounded norm, peak tracking the cross
     cardinality, zero projection, and sup error within a fixed band of the
     predicted uniform rate."""
-    om, bp, q = SMOOTH_2D, BesovParams(2.0, 2.0), math.inf
-    hi = 14 if quick else 18
-    regime = classify_regime(om, bp.p, q, bp.theta)
-    rows = []
-    norms, ratios, peaks, proj_zero = [], [], [], True
-    dev_closed = 0.0
-    for n in _octave_range(12, hi):
-        cfg = WitnessConfig(omega=om, bp=bp, n=n)
-        f = g7_stack_normalized(cfg)
-        proj_zero &= project_q(f, om, n).is_zero
-        bnorm = besov_norm(f, om, bp)
-        err = lp_norm(f, q)
+    om = SMOOTH_2D
+    rows, proj_zero, dev_closed = [], True, 0.0
+    for cfg, f, zero, bnorm, err, m, thy in _witnesses(
+            om, BesovParams(2.0, 2.0), math.inf, g7_stack_normalized, quick):
+        proj_zero &= zero
         # nonnegative coefficients peak at the origin, so the sampled sup
         # must match the closed-form coefficient sum
         closed = float(np.sum(f.cs).real)
         dev_closed = max(dev_closed, abs(err - closed) / closed)
-        peak_ratio = g6_peak_value(cfg) / size_prediction(om, n)
-        m = q_size(om, n)
-        thy = theoretical_rate(om, regime, m)
-        norms.append(bnorm)
-        ratios.append(err / thy)
-        peaks.append(peak_ratio)
-        rows.append((n, m, bnorm, peak_ratio, err, thy, err / thy))
-    norm_band = _band(norms)
-    peak_band = _band(peaks)
-    ratio_band = _band(ratios)
+        peak_ratio = g6_peak_value(cfg) / size_prediction(om, cfg.n)
+        rows.append((cfg.n, m, bnorm, peak_ratio, err, thy, err / thy))
+    norm_band, peak_band, ratio_band = (_band([row[i] for row in rows]) for i in (2, 3, 6))
     passed = (proj_zero and dev_closed <= 1e-9 and norm_band <= WITNESS_NORM_BAND
               and peak_band <= PEAK_BAND and ratio_band <= WITNESS_RATIO_BAND)
     summary = (f"projection vanishes: {proj_zero}; sup vs closed form {dev_closed:.2e}; "

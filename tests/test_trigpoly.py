@@ -482,7 +482,7 @@ class TestLpNorm:
         assert grid_shapes == [(16, 16)]
         assert got == float(np.mean(np.abs(f.evaluate_grid((16, 16))) ** 1.5)) ** (1 / 1.5)
 
-    def test_sup_is_the_running_grid_maximum(self, grid_shapes, monkeypatch):
+    def test_sup_is_the_last_grid_maximum(self, grid_shapes, monkeypatch):
         monkeypatch.setattr(trigpoly, "MAX_GRID_SIDE", 256)
         rng = np.random.default_rng(12)
         for trial in range(6):
@@ -492,9 +492,10 @@ class TestLpNorm:
             grid_shapes.clear()
             got = lp_norm(f, INF, QuadratureSpec(rel_tol=1e-9))
             # the first grid is the first doubling; the result is the largest
-            # value sampled on any grid
+            # value on the last grid, which holds every earlier grid's points
             maxima = [float(np.max(np.abs(f.evaluate_grid(g)))) for g in grid_shapes]
-            assert got == max(maxima)
+            assert got == maxima[-1]
+            assert got >= max(maxima) * (1 - 4 * 2 ** -52)
 
     def test_no_doubling_raises_with_start_estimate(self, grid_shapes, monkeypatch):
         # a side cap of 8: the start grid (8,) cannot double, so it is the
@@ -629,6 +630,20 @@ class TestLpNorms:
         assert str(shared.value) == str(alone.value)
         converged = ps[:ps.index(failing)]
         assert lp_norms(f, converged, quad) == each_lp_norm(f, converged, quad)
+
+    @pytest.mark.parametrize("ks, shared", [
+        ([[0], [1], [3]], (32,)),
+        ([[0, 0], [31, 7], [5, 2]], (256, 64)),
+    ])
+    def test_sup_ladder_serves_an_exact_grid_once(self, grid_shapes, ks, shared):
+        # the exact p = 16 grid is the first doubling of the sup start, so the
+        # sup ladder reduces it, and no grid is evaluated twice
+        f = TrigPolynomial(ks, [1, -0.7j, 0.4])
+        want = each_lp_norm(f, (INF, 16))
+        grid_shapes.clear()
+        assert lp_norms(f, (INF, 16)) == want
+        assert grid_shapes[0] == shared
+        assert len(set(grid_shapes)) == len(grid_shapes)
 
     def test_floor_grid_is_evaluated_on_its_own(self, grid_shapes):
         # spread 3: the exact p = 4 grid is the floor (8,), the start of the
