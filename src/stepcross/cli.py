@@ -10,13 +10,16 @@ rates       run a projection-error rate experiment, CSV output
 witness     construct an extremal witness family member and report its size
 verify-all  run the full verification battery
 
-Every emitter writes deterministic text: a ``#`` header echoing the version,
-command and parameters (never a timestamp), then CSV rows.  Repeated runs
-with the same arguments produce byte-identical output, whatever the thread
-count of the numeric libraries.
+Every subcommand writes deterministic text, to ``--out`` or to stdout: a
+``#`` header echoing the version, the command and every argument the
+subcommand parsed, sorted by name (never a timestamp), then CSV rows.
+Repeated runs with the same arguments produce byte-identical output,
+whatever the thread count of the numeric libraries.  ``--sections`` of
+``verify-all`` takes ``all`` (the default) or a comma list of sections.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 a verified tolerance or
-condition failed, 4 a capacity cap was hit.
+Exit codes: 0 success, 2 usage or parameter error (an ``--out`` that cannot
+be written included), 3 a verified tolerance or condition failed, 4 a
+capacity cap was hit.
 """
 
 from __future__ import annotations
@@ -70,45 +73,36 @@ def _n_grid(n_min: float, n_max: float) -> list[float]:
     return grid
 
 
-def _header(command: str, params: dict) -> list[str]:
-    echo = " ".join(f"{k}={fmt_value(v)}" for k, v in sorted(params.items()))
-    return [f"# stepcross {__version__}", f"# command: {command}", f"# params: {echo}"]
+def _header(args) -> str:
+    """The ``#`` lines that open every output: version, command and each
+    argument the subcommand parsed, sorted by name."""
+    echo = " ".join(f"{k}={fmt_value(v)}" for k, v in sorted(vars(args).items())
+                    if k not in ("command", "func", "config", "out"))
+    return f"# stepcross {__version__}\n# command: {args.command}\n# params: {echo}\n"
 
 
-def _emit(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+# -- subcommands: each returns its body and its exit code --------------------
 
 
-# -- subcommands ------------------------------------------------------------
-
-
-def _cmd_sets(args) -> int:
+def _cmd_sets(args) -> tuple[str, int]:
     om = _omega(args)
-    lines = _header("sets", dict(d=om.d, r=om.r, b=args.b, l=om.l,
-                                 n_min=args.n_min, n_max=args.n_max))
-    lines.append("n,chi_count,theta_count,theta_prime_count,q_size,size_prediction,ratio")
+    lines = ["n,chi_count,theta_count,theta_prime_count,q_size,size_prediction,ratio"]
     for n in _n_grid(args.n_min, args.n_max):
         m = q_size(om, n)
         pred = size_prediction(om, n)
         row = (n, len(chi(om, n)), len(theta(om, n)), len(theta_prime(om, n)),
                m, pred, m / pred)
         lines.append(",".join(fmt_value(v) for v in row))
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_lemmas(args) -> int:
+def _cmd_lemmas(args) -> tuple[str, int]:
     om = _omega(args)
-    alpha = om.r if args.alpha is None else args.alpha
-    gamma = om.r if args.gamma is None else args.gamma
-    audit = verify_majorant_axioms(om, alpha, gamma)
-    lines = _header("lemmas", dict(d=om.d, r=om.r, b=args.b, l=om.l, alpha=alpha,
-                                   gamma=gamma, p=args.p, beta=args.beta,
-                                   n_min=args.n_min, n_max=args.n_max))
-    lines.append(f"monotone: {audit.monotone_ok}")
+    # the exponents used, so the header echoes them
+    args.alpha = om.r if args.alpha is None else args.alpha
+    args.gamma = om.r if args.gamma is None else args.gamma
+    audit = verify_majorant_axioms(om, args.alpha, args.gamma)
+    lines = [f"monotone: {audit.monotone_ok}"]
     lines.append(f"scaling: {audit.scaling_ok}")
     for side, ok, name, value, log2_value in (
             ("lower", audit.s_condition_ok, "c1", audit.c1, audit.log2_c1),
@@ -125,19 +119,15 @@ def _cmd_lemmas(args) -> int:
         # an empty shell (2^l N below the weight of box (1, ..., 1)) sums to 0
         row = (n, res.value, res.bound, shell, res.value / shell if shell else math.inf)
         lines.append(",".join(fmt_value(v) for v in row))
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 0 if audit.all_ok else 3
+    return "\n".join(lines) + "\n", 0 if audit.all_ok else 3
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args) -> tuple[str, int]:
     if not args.poly:
         raise ParameterError("norms needs --poly FILE")
     f = read_polynomial(args.poly)
     quad = QuadratureSpec(rel_tol=args.rel_tol)
-    lines = _header("norms", dict(poly=args.poly, p=args.p, theta=args.theta,
-                                  rel_tol=args.rel_tol))
-    lines.append(f"terms: {f.n_terms}")
-    lines.append(f"degrees: {','.join(str(v) for v in f.degrees)}")
+    lines = [f"terms: {f.n_terms}", f"degrees: {','.join(str(v) for v in f.degrees)}"]
     ps = _parse_list(args.p, float, "exponent")
     for p, value in zip(ps, lp_norms(f, ps, quad)):
         lines.append(f"lp,{fmt_value(p)},{fmt_value(value)}")
@@ -147,43 +137,29 @@ def _cmd_norms(args) -> int:
         lines.append(
             f"besov,{fmt_value(ps[0])},{fmt_value(args.theta)},"
             f"{fmt_value(besov_norm(f, om, bp, quad))}")
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_kernels(args) -> int:
+def _cmd_kernels(args) -> tuple[str, int]:
     if args.family in ("fejer", "vp"):
         f = fejer(args.n) if args.family == "fejer" else vallee_poussin(args.n)
-        params = dict(family=args.family, n=args.n)
     elif args.family == "band":
-        s = _parse_list(args.s, float, "octave index")
-        f = band_kernel(s)
-        params = dict(family="band", s=args.s)
+        f = band_kernel(_parse_list(args.s, float, "octave index"))
     elif args.family == "packet":
-        s = _parse_list(args.s, float, "octave index")
-        f = k_packet(s, u=args.u)
-        params = dict(family="packet", s=args.s, u="default" if args.u is None else args.u)
+        f = k_packet(_parse_list(args.s, float, "octave index"), u=args.u)
     else:
         raise ParameterError(f"unknown kernel family {args.family!r}")
-    lines = _header("kernels", params)
-    lines.append(f"# terms: {f.n_terms}")
-    _emit(args.out, "\n".join(lines) + "\n" + dumps_polynomial(f))
-    return 0
+    return f"# terms: {f.n_terms}\n" + dumps_polynomial(f), 0
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> tuple[str, int]:
     om = _omega(args)
     bp = BesovParams(args.p, args.theta)
     quad = QuadratureSpec(rel_tol=args.rel_tol)
     records = rate_experiment(om, bp, args.q, args.family,
                               _n_grid(args.n_min, args.n_max),
                               samples=args.samples, seed=args.seed, quad=quad)
-    lines = _header("rates", dict(d=om.d, r=om.r, b=args.b, l=om.l, p=args.p,
-                                  theta=args.theta, q=args.q, family=args.family,
-                                  n_min=args.n_min, n_max=args.n_max,
-                                  samples=args.samples, seed=args.seed,
-                                  rel_tol=args.rel_tol))
-    lines.append("n,m,error,theory,ratio")
+    lines = ["n,m,error,theory,ratio"]
     for rec in records:
         lines.append(",".join(fmt_value(v)
                               for v in (rec.n, rec.m, rec.error, rec.theory, rec.ratio)))
@@ -195,41 +171,29 @@ def _cmd_rates(args) -> int:
                      f"cond={fmt_value(fit.condition)}")
     except ParameterError as exc:
         lines.append(f"# fit: skipped ({exc})")
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[str, int]:
     if args.family not in WITNESS_BUILDERS:
         raise ParameterError(f"unknown witness family {args.family!r}")
     om = _omega(args)
     bp = BesovParams(args.p, args.theta)
     cfg = WitnessConfig(omega=om, bp=bp, n=args.n)
     f = WITNESS_BUILDERS[args.family](cfg)
-    lines = _header("witness", dict(family=args.family, d=om.d, r=om.r, b=args.b,
-                                    l=om.l, p=args.p, theta=args.theta, n=args.n))
     # properties stay '#'-prefixed so the --out file is a valid polynomial file
-    lines.append(f"# terms: {f.n_terms}")
-    lines.append(f"# degrees: {','.join(str(v) for v in f.degrees)}")
+    lines = [f"# terms: {f.n_terms}", f"# degrees: {','.join(str(v) for v in f.degrees)}"]
     lines.append(f"# l2_norm: {fmt_value(lp_norm(f, 2.0))}")
     lines.append(f"# besov_norm: {fmt_value(besov_norm(f, om, bp))}")
     if args.family in ("g6", "g7"):
         lines.append(f"# stack_peak: {fmt_value(g6_peak_value(cfg))}")
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        _emit(args.out, body + dumps_polynomial(f))
-    else:
-        _emit(None, body)
-    return 0
+    return "\n".join(lines) + "\n" + (dumps_polynomial(f) if args.out else ""), 0
 
 
-def _cmd_verify_all(args) -> int:
-    names = [s for s in args.sections.split(",") if s] if args.sections else None
+def _cmd_verify_all(args) -> tuple[str, int]:
+    names = None if args.sections == "all" else [s for s in args.sections.split(",") if s]
     results = run_verification(names, quick=args.quick)
-    header = _header("verify-all", dict(
-        quick=args.quick, sections=args.sections or "all"))
-    _emit(args.out, "\n".join(header) + "\n" + format_report(results, quick=args.quick))
-    return 0 if all(res.passed for res in results) else 3
+    return format_report(results, quick=args.quick), 0 if all(r.passed for r in results) else 3
 
 
 # -- parser -----------------------------------------------------------------
@@ -249,9 +213,10 @@ def _add_common(sub):
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with ``config`` (flat ``--config`` defaults) set
-    on every subcommand; explicit flags still override them, and a key no
-    subcommand knows is a ParameterError."""
+    """The argument parser, with each key of ``config`` (flat ``--config``
+    defaults) set on the subcommands that parse that argument; explicit
+    flags still override them, and a key no subcommand knows is a
+    ParameterError."""
     parser = argparse.ArgumentParser(
         prog="stepcross",
         description="Step hyperbolic cross approximation toolkit")
@@ -323,24 +288,24 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-all", help="run the verification battery")
     p.add_argument("--quick", action="store_true", help="reduced sample sizes")
-    p.add_argument("--sections", default=None,
-                   help=f"comma list from: {','.join(SECTION_NAMES)}")
+    p.add_argument("--sections", default="all",
+                   help=f"all, or a comma list from: {','.join(SECTION_NAMES)}")
     _add_common(p)
     p.set_defaults(func=_cmd_verify_all)
 
     if config:
-        defaults = {}  # every dest a subcommand parses into, with its default
-        for sub in subs.choices.values():
-            defaults.update(vars(sub.parse_args([])))
+        # every dest each subcommand parses into, with its default
+        owned = {sub: vars(sub.parse_args([])) for sub in subs.choices.values()}
+        defaults = {k: v for dests in owned.values() for k, v in dests.items()}
         unknown = set(config) - (set(defaults) - {"func", "config"})
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
         config = {key: _config_token(key, value, defaults[key])
                   for key, value in config.items()}
         # subcommands parse into a fresh namespace, so defaults must land on
-        # each subparser, not on the root parser
-        for sub in subs.choices.values():
-            sub.set_defaults(**config)
+        # the subparsers that own each dest, not on the root parser
+        for sub, dests in owned.items():
+            sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
 
 
@@ -372,7 +337,13 @@ def _load_config(path: str) -> dict:
     return data
 
 
+_EXIT_CODES = {ParameterError: 2, QuadratureAccuracyError: 3, CapacityError: 4}
+
+
 def main(argv=None) -> int:
+    """Run one subcommand: its header and body go to ``--out`` or to
+    ``sys.stdout`` (looked up here, so a redirect of it is honoured), and an
+    error of ``_EXIT_CODES`` becomes one ``error:`` line and its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config = {}
@@ -381,23 +352,19 @@ def main(argv=None) -> int:
                 config = _load_config(argv[i + 1])
             elif token.startswith("--config="):
                 config = _load_config(token.split("=", 1)[1])
-        parser = build_parser(config)
-    except ParameterError as exc:
+        args = build_parser(config).parse_args(argv)
+        body, code = args.func(args)
+        if not args.out:
+            sys.stdout.write(_header(args) + body)
+            return code
+        try:
+            Path(args.out).write_text(_header(args) + body)
+        except OSError as exc:
+            raise ParameterError(f"cannot write output file {args.out}: {exc}") from exc
+        return code
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureAccuracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -140,8 +140,6 @@ def rho(s) -> SpectrumSet:
 class IndexFamily:
     """A finite family of box indices, sorted lexicographically."""
 
-    kind: str
-    n: float
     members: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
@@ -244,7 +242,7 @@ def _cross(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
 def chi(params: MajorantParams, n: float) -> IndexFamily:
     """Box indices of the step hyperbolic cross: all s with w(s) <= N."""
     n = _check_n(n)
-    return IndexFamily(kind="chi", n=n, members=_members(_cross(params, n)[0]))
+    return IndexFamily(_members(_cross(params, n)[0]))
 
 
 def _shell(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +255,7 @@ def _shell(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
 def theta(params: MajorantParams, n: float) -> IndexFamily:
     """The boundary shell: box indices with N < w(s) <= 2^l N."""
     n = _check_n(n)
-    return IndexFamily(kind="theta", n=n, members=_members(_shell(params, n)[0]))
+    return IndexFamily(_members(_shell(params, n)[0]))
 
 
 def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
@@ -271,15 +269,14 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
     """
     n = _check_n(n)
     if params.d == 1:
-        fam = theta(params, n)
-        return IndexFamily(kind="theta_prime", n=n, members=fam.members)
+        return theta(params, n)
 
     big_l = math.floor(math.log2(n))
     r, d = params.r, params.d
     lo = max(1, math.ceil(big_l / (2 * r * d)))
     hi = math.floor(big_l / (r * d))
     if hi < lo:
-        return IndexFamily(kind="theta_prime", n=n, members=())
+        return IndexFamily(())
     prefixes = _tensor_rows([np.arange(lo, hi + 1)] * (d - 1))
     # mark the cross rows of each prefix (row-lex order is ravel order) by
     # their last coordinate; the first unmarked s >= 1 is outside chi(N)
@@ -291,7 +288,7 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
     last = inside[:, 1:].argmin(axis=1) + 1
     rows = np.column_stack([prefixes, last])
     rows = rows[in_cross(params, rows, n * _exp2(float(params.l))) & (last >= lo)]
-    return IndexFamily(kind="theta_prime", n=n, members=_members(rows))
+    return IndexFamily(_members(rows))
 
 
 def q_set(params: MajorantParams, n: float) -> SpectrumSet:

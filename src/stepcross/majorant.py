@@ -145,9 +145,8 @@ def omega_dyadic(params: MajorantParams, s) -> float:
 
 def log2_omega_dyadic(params: MajorantParams, s) -> float:
     """log2 of omega_dyadic, that is -log2 w(s) for one validated box index:
-    the row sum of ``log2_weight`` for one row, without its column loop."""
-    s = np.array(check_box_index(s, params.d))
-    return -float(_axis_log2_weight(params.r, params.b, s).sum())
+    ``log2_weight`` of the one-row array holding s."""
+    return -float(log2_weight(params, [check_box_index(s, params.d)])[0])
 
 
 def log2_weight(params: MajorantParams, boxes) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from stepcross.approx import rate_experiment
 from stepcross.cli import main
+from stepcross.errors import UnsupportedRegimeError
 from stepcross.extremal import WitnessConfig, g6_peak_value
 from stepcross.besov import BesovParams
 from stepcross.indexsets import q_size, size_prediction
@@ -78,6 +81,29 @@ def test_norms_roundtrip(tmp_path, capsys):
     assert vals["2"] == pytest.approx(lp_norm(f, 2), rel=1e-9)
     assert vals["inf"] <= 3.0 + 1e-9  # sup of |e^i..| pair is at most sum of moduli
     assert any(ln.startswith("besov,2,2,") for ln in out.splitlines())
+
+
+def test_norms_header_echoes_the_majorant(tmp_path, capsys):
+    # the majorant behind the besov row is part of the header
+    path = tmp_path / "f.txt"
+    write_polynomial(TrigPolynomial([[1, 2], [3, 1]], [1.0, -2.0j]), path)
+    headers = []
+    for r in ("1", "1.4"):
+        code, out, _ = run_cli(capsys, "norms", "--poly", str(path), "--r", r, "--b", "0")
+        assert code == 0
+        headers.append(next(ln for ln in out.splitlines() if ln.startswith("# params:")))
+    assert headers[0] != headers[1]
+    assert " b=0 l=2 " in headers[0] and " r=1 " in headers[0] and " r=1.4 " in headers[1]
+
+
+def test_norms_quadrature_short_of_tolerance_exit_3(tmp_path, capsys):
+    # at p = 1 the kink of |1 + e^{16ix}| keeps the grid from settling
+    path = tmp_path / "f.txt"
+    path.write_text("d=1\n0 1 0\n16 1 0\n")
+    code, out, err = run_cli(capsys, "norms", "--poly", str(path), "--p", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: L_1.0 quadrature did not reach")
 
 
 def test_norms_requires_poly(capsys):
@@ -223,7 +249,8 @@ def test_config_witness_family_checked(tmp_path, capsys):
 
 def test_config_lists_and_numbers_read_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"b": [0.5, 0.25], "r": 1.5, "n_max": 256, "quick": False}))
+    # quick belongs to verify-all: it must not reach the sets header
+    cfg.write_text(json.dumps({"b": [0.5, 0.25], "r": 1.5, "n_max": 256, "quick": True}))
     _, from_config, _ = run_cli(capsys, "sets", "--config", str(cfg))
     _, from_flags, _ = run_cli(capsys, "sets", "--b", "0.5,0.25", "--r", "1.5",
                                "--n-max", "256")
@@ -301,6 +328,46 @@ def test_config_unreadable(capsys):
     code, _, err = run_cli(capsys, "sets", "--config", "/nonexistent.json")
     assert code == 2
     assert "config" in err
+
+
+def test_unsupported_regime_exit_2(capsys):
+    # g5 targets the small-p regime; p = 3 > q = 2 is the large-p one
+    with pytest.raises(UnsupportedRegimeError) as exc:
+        rate_experiment(MajorantParams(d=2, r=1.5, b=0.0, l=2), BesovParams(3.0, 2.0),
+                        2.0, "g5", [256.0])
+    code, out, err = run_cli(capsys, "rates", "--family", "g5", "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exit_2(tmp_path, capsys, target):
+    # once a raw FileNotFoundError / IsADirectoryError, exit 1
+    out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+    code, err = exit_code(capsys, "sets", "--n-max", "128", "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write output file {out}:")
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "sets.csv"
+    assert run_cli(capsys, "sets", "--n-max", "256", "--out", str(path)) == (0, "", "")
+    _, out, _ = run_cli(capsys, "sets", "--n-max", "256")
+    assert path.read_text() == out
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # each `stepcross ...` line of README's "Command line" block, in order
+    # (norms reads the packet file that kernels writes)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("stepcross ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert (line, code, err) == (line, 0, "")
 
 
 def test_usage_error_is_exit_2(capsys):
