@@ -30,16 +30,20 @@ from the largest |k_j|: |f| does not change under modulation, so |f|^2 has
 degree w_j on axis j, and a one-sided spectrum such as a packet around
 3 * 2^{s_j - 2} needs no more points than the same packet centred at 0.
 
-Grid values come from one folded spectrum, and only the lines along the last
-axis that hold a coefficient are transformed along it: the octave blocks and
-band pieces of a step hyperbolic cross leave most lines empty once a grid is
-large enough to hold them without aliasing.
+Grid values come from one folded spectrum, and only the lines along the first
+axis that hold a coefficient are transformed along it, each as a contiguous
+row: the octave blocks and band pieces of a step hyperbolic cross leave most
+lines empty once a grid is large enough to hold them without aliasing.  The
+other axes run over the whole grid, the last of them along contiguous memory.
+A mean adds |f|^p up once per slab, and the coarse estimate of a ladder step
+is read off that same array at the coarse points.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,15 +283,19 @@ class TrigPolynomial:
         """Values on the uniform grid x_m = 2 pi m / G, componentwise.
 
         Exact at the grid points regardless of aliasing: frequencies are
-        folded mod G.  Only the lines along the last axis that hold a folded
-        frequency are transformed along it; the other axes follow in the
-        order ``np.fft.ifftn`` uses, so the values are bit-identical to
-        ``ifftn`` of the dense folded spectrum times the grid size.  Peak
-        memory (``ru_maxrss`` at 2^24 points) is 48 B a point in 1-D: the
-        output plus 32 B of scratch that numpy's in-place FFT of one 2^24
-        line allocates.  In 2-D it is 16 B a point for the output plus 16 B
-        times the fraction of occupied lines (16 to 26 B measured); the norms
-        ask for at most ``SLAB_POINTS`` points at a time.
+        folded mod G.  Only the lines along axis 0 that hold a folded
+        frequency (found with an occupancy mask over axes 1..d-1, no sort)
+        are transformed along it, as the contiguous rows of a compact
+        (lines, G_0) array, and scattered into the zeroed grid; axes d-1 down
+        to 1 follow over the whole grid.  No transform is scaled, so the
+        values are bit-identical to ``np.fft.ifftn(spectrum, axes=(1, ...,
+        d-1, 0), norm="forward")`` of the dense folded spectrum.  Peak memory
+        (``ru_maxrss`` at 2^24 points) is 48 B a point in 1-D: the output
+        plus 32 B of scratch that numpy's in-place FFT of one 2^24 line
+        allocates.  In 2-D it is 16 B a point for the output plus 16 B times
+        the fraction of occupied lines (16.2, 20.0 and 31.9 B measured with
+        1%, 25% and all of the lines occupied); the norms ask for at most
+        ``SLAB_POINTS`` points at a time.
         """
         grid_shape = tuple(check_int(g, "grid side")
                            for g in np.atleast_1d(np.asarray(grid_shape)).tolist())
@@ -300,32 +308,32 @@ class TrigPolynomial:
             raise CapacityError(f"grid of {total} points exceeds the cap {MAX_GRID_POINTS}")
         if self.is_zero:
             return np.zeros(grid_shape, dtype=np.complex128)
-        side = grid_shape[-1]
+        side = grid_shape[0]
         folded = [np.mod(self.ks[:, j], grid_shape[j]) for j in range(self.d)]
+        n_lines, row = 1, 0
         if self.d > 1:
-            # the occupied lines: distinct folded prefixes over axes 0..d-2
-            lines, row = np.unique(np.ravel_multi_index(folded[:-1], grid_shape[:-1]),
-                                   return_inverse=True)
-        else:
-            lines, row = np.zeros(1, dtype=np.intp), 0
-        flat = row * side + folded[-1]
+            # the occupied lines: distinct folded suffixes over axes 1..d-1
+            suffix = np.ravel_multi_index(folded[1:], grid_shape[1:])
+            occupied = np.zeros(total // side, dtype=bool)
+            occupied[suffix] = True
+            lines = np.flatnonzero(occupied)
+            n_lines, row = lines.size, (np.cumsum(occupied) - 1)[suffix]
+            del suffix, occupied
+        flat = row * side + folded[0]
         del folded, row
-        vals = np.empty((lines.size, side), dtype=np.complex128)
+        vals = np.empty((n_lines, side), dtype=np.complex128)
         vals.real[...] = np.bincount(flat, weights=self.cs.real,
                                      minlength=vals.size).reshape(vals.shape)
         vals.imag[...] = np.bincount(flat, weights=self.cs.imag,
                                      minlength=vals.size).reshape(vals.shape)
         del flat
-        np.fft.ifft(vals, axis=-1, out=vals)
-        if lines.size < total // side:
-            dense = np.zeros(grid_shape, dtype=np.complex128)
-            dense.reshape(-1, side)[lines] = vals
-            vals = dense
-        vals = vals.reshape(grid_shape)
-        if self.d > 1:
-            np.fft.ifftn(vals, axes=tuple(range(self.d - 1)), out=vals)
-        vals *= total
-        return vals
+        np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
+        if self.d == 1:
+            return vals.reshape(grid_shape)
+        dense = np.zeros(grid_shape, dtype=np.complex128)
+        dense.reshape(side, -1)[:, lines] = vals.T
+        del vals
+        return np.fft.ifftn(dense, axes=tuple(range(1, self.d)), norm="forward", out=dense)
 
 
 # -- random sampling -----------------------------------------------------
@@ -375,18 +383,23 @@ class QuadratureSpec:
         object.__setattr__(self, "rel_tol", check_real(self.rel_tol, "rel_tol", 0, 1))
 
 
-def _power_sum(values: np.ndarray, p, total: float) -> float:
-    """``total`` plus the sum of |values|^p; for p = inf, the larger of
-    ``total`` and the largest |values|.  Either adds up over slabs."""
+def _power_sum(values: np.ndarray, p, on=None):
+    """The sum of |values|^p (for p = inf, the largest |values|), and the
+    same over ``values[on]``, or None without ``on``.  |values|^p is formed
+    once; the part on ``on`` is copied out contiguous before it is summed,
+    as the sum of a fresh array of those points would be."""
     if p == math.inf:
-        return max(total, float(np.max(np.abs(values))))
-    if p == int(p) and int(p) % 2 == 0:
-        x, p = values.real ** 2, int(p) // 2
-        x += values.imag ** 2
+        x, reduce = np.abs(values), np.max
     else:
-        x = np.abs(values)
-    x **= p  # in place, as ``**``: one fresh array of the slab's size, not two
-    return total + float(np.sum(x))
+        if p == int(p) and int(p) % 2 == 0:
+            x, p = values.real ** 2, int(p) // 2
+            x += values.imag ** 2
+        else:
+            x = np.abs(values)
+        if p != 1:
+            x **= p  # in place, as ``**``: one fresh array of the slab's size, not two
+        reduce = np.sum
+    return float(reduce(x)), None if on is None else float(reduce(np.ascontiguousarray(x[on])))
 
 
 def _double_within_caps(grid):
@@ -432,12 +445,13 @@ def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
     ``grid`` doubles on some axes (``on`` is None without ``coarse`` or when
     the slab holds none: the coarse step on axis a does not divide r).  The
     grid is cut into S = pow2ceil(points / SLAB_POINTS) slabs, at most G_a,
-    along its longest axis a (the last of equals, which keeps
-    ``evaluate_grid``'s lines): slab r, the indices r mod S there, is
+    along its longest axis a, the first of equals (a cut along axis 0
+    leaves the lines along it that ``evaluate_grid`` transforms as sparse
+    as on the whole grid): slab r, the indices r mod S there, is
     f e^{2 pi i r k_a / G_a} on G_a / S points (Cooley and Tukey's decimation
     in time), phase reduced exactly; S = 1 up to ``SLAB_POINTS`` points."""
     steps = [g // c for g, c in zip(grid, coarse or grid)]
-    a = max(reversed(range(len(grid))), key=grid.__getitem__)
+    a = max(range(len(grid)), key=grid.__getitem__)
     s = min(grid[a], pow2ceil(-(-math.prod(grid) // SLAB_POINTS)))
     on = tuple(slice(None, None, max(1, k // s) if j == a else k) for j, k in enumerate(steps))
     for r in range(s):
@@ -451,12 +465,15 @@ def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0):
     """For each p of ``ps``, the L_p mean of f on ``grid`` (the largest |f|
     for p = inf), added up one slab at a time; and for the first
     ``n_coarse`` of them the same on the points of ``coarse`` (see
-    ``_grid_slabs``), or None without it."""
+    ``_grid_slabs``), read off the same |f|^p, or None without it."""
     sums, subs = [0.0] * len(ps), [0.0] * n_coarse
     for vals, on in _grid_slabs(f, grid, coarse):
-        sums = [_power_sum(vals, p, t) for p, t in zip(ps, sums)]
-        if on is not None:
-            subs = [_power_sum(vals[on], p, t) for p, t in zip(ps, subs)]
+        for i, p in enumerate(ps):
+            add = max if p == math.inf else operator.add
+            total, sub = _power_sum(vals, p, on if i < n_coarse else None)
+            sums[i] = add(sums[i], total)
+            if sub is not None:
+                subs[i] = add(subs[i], sub)
         del vals  # one slab is held at a time
 
     def norms(totals, shape):

@@ -339,8 +339,9 @@ class TestEvaluation:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_grid_bit_identical_to_dense_ifftn(self, data):
-        # the line-pruned transform runs the same 1-D transforms as ifftn of
-        # the dense folded spectrum, so every value matches to the last bit
+        # the line-pruned transform runs the same unscaled 1-D transforms as
+        # ifftn of the dense folded spectrum over axis 0 first, then the others
+        # from the last, so every value matches to the last bit
         d = data.draw(st.sampled_from((1, 2, 3)), label="d")
         grid = tuple(data.draw(st.lists(st.integers(1, 24), min_size=d, max_size=d),
                                label="grid"))
@@ -350,17 +351,18 @@ class TestEvaluation:
         ks = np.array(data.draw(st.lists(st.lists(st.integers(-60, 60), min_size=d, max_size=d),
                                          min_size=n, max_size=n), label="ks"))
         if layout == "one_line":
-            ks[:, :-1] = ks[0, :-1]
+            ks[:, 1:] = ks[0, 1:]
         elif layout == "all_lines" and d > 1:
-            prefixes = np.indices(grid[:-1]).reshape(d - 1, -1).T
-            ks = np.concatenate([ks, np.c_[prefixes, np.full(len(prefixes), 3)]])
+            suffixes = np.indices(grid[1:]).reshape(d - 1, -1).T
+            ks = np.concatenate([ks, np.c_[np.full(len(suffixes), 3), suffixes]])
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         f = TrigPolynomial(ks, rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks)))
         total = math.prod(grid)
         flat = np.ravel_multi_index([np.mod(f.ks[:, j], grid[j]) for j in range(d)], grid)
         spec = (np.bincount(flat, weights=f.cs.real, minlength=total)
                 + 1j * np.bincount(flat, weights=f.cs.imag, minlength=total)).reshape(grid)
-        assert np.array_equal(f.evaluate_grid(grid), np.fft.ifftn(spec) * total)
+        axes = tuple(range(1, d)) + (0,)
+        assert np.array_equal(f.evaluate_grid(grid), np.fft.ifftn(spec, axes=axes, norm="forward"))
 
     @pytest.mark.parametrize("grid", [(8.7,), (8, 2.5), (math.nan,), (INF, 8), ("8",)])
     def test_grid_rejects_non_integral_sides(self, grid):
@@ -606,7 +608,7 @@ class TestLpNorms:
         f = TrigPolynomial(ks, rng.standard_normal(30) + 1j * rng.standard_normal(30))
         reduced, power_sum = [], trigpoly._power_sum
         monkeypatch.setattr(trigpoly, "_power_sum",
-                            lambda values, p, total: reduced.append(p) or power_sum(values, p, total))
+                            lambda values, p, on=None: reduced.append(p) or power_sum(values, p, on))
         lp_norms(f, (1.5, 4.0), QuadratureSpec(rel_tol=1e-6))
         assert reduced.count(4.0) == 1
 
@@ -724,19 +726,19 @@ class TestSlabs:
         capped = [s for s in sizes if math.prod(s) > 1 << 8]
         assert all(min(s) == 1 for s in capped)
         # the 3-D grid (32, 32, 16) has 16384 points: 32 slabs of 512 along
-        # axis 1, the last of its longest axes
-        assert (32, 1, 16) in capped
+        # axis 0, the first of its longest axes
+        assert (1, 32, 16) in capped
 
     def test_slabs_are_the_residue_classes_of_the_grid(self, monkeypatch):
         # the values of slab r are the points with index r mod S on the
-        # longest axis (the last of equals), and ``on`` picks the slab's
+        # longest axis (the first of equals), and ``on`` picks the slab's
         # points on the coarse grid
         monkeypatch.setattr(trigpoly, "SLAB_POINTS", 1 << 6)
         rng = np.random.default_rng(5)
         f = TrigPolynomial(rng.integers(-40, 40, size=(9, 2)),
                            rng.standard_normal(9) + 1j * rng.standard_normal(9))
         for grid, coarse, slabs, a in [((32, 16), (16, 8), 8, 0), ((16, 32), (16, 16), 8, 1),
-                                       ((4, 64), (4, 32), 4, 1), ((16, 16), (8, 16), 4, 1)]:
+                                       ((4, 64), (4, 32), 4, 1), ((16, 16), (8, 16), 4, 0)]:
             whole = f.evaluate_grid(grid)
             on_coarse = whole[::grid[0] // coarse[0], ::grid[1] // coarse[1]]
             seen = []
@@ -748,6 +750,28 @@ class TestSlabs:
             got = np.sort_complex(np.concatenate(seen))
             np.testing.assert_allclose(got, np.sort_complex(on_coarse.ravel()), atol=1e-10)
             assert r + 1 == slabs
+
+    @pytest.mark.parametrize("slab_points", [1 << 20, 1 << 6], ids=["whole", "slabbed"])
+    @pytest.mark.parametrize("grid, coarse", [
+        ((256,), (128,)), ((256,), (64,)),
+        ((32, 16), (16, 8)), ((32, 16), (32, 8)), ((16, 32), (8, 32)),
+        ((16, 16, 8), (8, 16, 4)), ((8, 8, 8), (8, 4, 8)),
+    ])
+    def test_coarse_norms_are_the_coarse_grid_alone(self, monkeypatch, slab_points, grid,
+                                                    coarse):
+        # the coarse sums read off |f|^p on the fine grid's points give the
+        # norms of the coarse grid evaluated on its own, and the fine norms
+        # are those of the fine grid reduced without a coarse grid
+        monkeypatch.setattr(trigpoly, "SLAB_POINTS", slab_points)
+        d = len(grid)
+        rng = np.random.default_rng(11 * d + coarse[-1])
+        f = TrigPolynomial(rng.integers(-20, 21, size=(12, d)),
+                           rng.standard_normal(12) + 1j * rng.standard_normal(12))
+        ps = [1, 1.5, 4, INF]
+        fine, on_coarse = trigpoly._grid_norms(f, grid, ps, coarse, len(ps))
+        assert fine == trigpoly._grid_norms(f, grid, ps)[0]
+        alone = trigpoly._grid_norms(f, coarse, ps)[0]
+        assert on_coarse == pytest.approx(alone, rel=1e-12)
 
 
 def degree_rule_first_grid(f, p):
