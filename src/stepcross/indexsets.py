@@ -31,7 +31,12 @@ w(s)^{-p} 2^{beta p |s|_1} = 2^{-p (log2 w(s) - beta |s|_1)}.  ``theta_sum``
 takes it from the cached weights of the shell rows.  ``tail_sum`` adds only
 positive terms: it splits the boxes outside chi(N) by the first axis where
 they leave the cross rows and sums each piece from per-axis prefix and
-suffix sums, so nothing is subtracted.  Both series, like the shell top
+suffix sums, so nothing is subtracted.  That prefix split depends on the
+cross rows alone, so ``_prefix_split`` builds it once per (majorant, N),
+read-only, in a second LRU cache of two entries keyed like ``_cross``; the
+four tail sums one item takes at N, one per (p, beta), share it and differ
+only in their (d, s_max) tables of axis terms.  A split holds at most
+d (d + 3) / 2 int64 per cross row.  Both series, like the shell top
 2^l N, leave log2 space through the majorant's one range rule: a term that
 underflows to 0 or overflows raises CapacityError.
 """
@@ -98,24 +103,59 @@ class SpectrumSet:
 
     def materialize(self) -> np.ndarray:
         """All member frequencies as an (n, d) int64 array in row-lex order,
-        at most ``MATERIALIZE_CAP`` of them."""
-        if self.size > MATERIALIZE_CAP:
+        at most ``MATERIALIZE_CAP`` of them.
+
+        The rows are written in order into one preallocated array (see
+        ``_fill``), so nothing is sorted and the peak memory is about one
+        copy of the rows.  A box that ``check_box_index`` rejects at d, or a
+        box given twice, raises ParameterError."""
+        boxes = [check_box_index(s, self.d) for s in self.boxes]
+        if len(set(boxes)) < len(boxes):
+            raise ParameterError("a box is given twice")
+        size = sum(1 << sum(s) for s in boxes)
+        if size > MATERIALIZE_CAP:
             raise CapacityError(
-                f"spectrum holds {self.size} frequencies, exceeding the cap {MATERIALIZE_CAP}")
-        if not self.boxes:
-            return np.empty((0, self.d), dtype=np.int64)
-        if len(self.boxes) == 1:
-            # increasing axes: already row-lex
-            return _box_points(self.boxes[0])
-        pts = np.concatenate([_box_points(s) for s in self.boxes], axis=0)
-        order = np.lexsort(pts.T[::-1])
-        return pts[order]
+                f"spectrum holds {size} frequencies, exceeding the cap {MATERIALIZE_CAP}")
+        out = np.empty((size, self.d), dtype=np.int64)
+        _fill(out, boxes)
+        return out
 
 
-def _octave_coords(sj: int) -> np.ndarray:
-    lo, hi = 1 << (sj - 1), 1 << sj
-    pos = np.arange(lo, hi, dtype=np.int64)
-    return np.concatenate([-pos[::-1], pos])
+def _fill(out: np.ndarray, boxes) -> None:
+    """Write the union of the disjoint octave ``boxes`` into the (n, k) view
+    ``out`` in row-lex order, n being their point count and k their length.
+
+    The boxes are grouped by their first octave o.  Every first coordinate v
+    of octave o carries the same rows of the group's other coordinates, so
+    the rows that start with v form one block.  The values v run over the
+    negative halves of the octaves, the largest octave first, and then over
+    the positive halves, upwards: each group fills one stretch of the lower
+    half of ``out`` and one of the upper half.  Its sub-rows are written
+    once, recursively, after its first positive v, and copied by broadcast
+    after every other v."""
+    width = out.shape[1]
+    if not width:
+        return
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for s in boxes:
+        groups.setdefault(s[0], []).append(s[1:])
+    neg = pos = len(out) // 2
+    for o in sorted(groups):
+        sub = groups[o]
+        vals = np.arange(1 << (o - 1), 1 << o, dtype=np.int64)
+        m = sum(1 << sum(t) for t in sub)
+        size = len(vals) * m
+        neg -= size
+        # splitting the row axis of a view is itself a view: writes land in out
+        lower = out[neg:neg + size].reshape(len(vals), m, width)
+        upper = out[pos:pos + size].reshape(len(vals), m, width)
+        pos += size
+        lower[:, :, 0] = -vals[::-1, None]
+        upper[:, :, 0] = vals[:, None]
+        rows = upper[0, :, 1:]
+        _fill(rows, sub)
+        upper[1:, :, 1:] = rows
+        lower[:, :, 1:] = rows
 
 
 def _tensor_rows(axes) -> np.ndarray:
@@ -124,10 +164,6 @@ def _tensor_rows(axes) -> np.ndarray:
     tensor-grid builder of the package."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-def _box_points(s: tuple[int, ...]) -> np.ndarray:
-    return _tensor_rows([_octave_coords(sj) for sj in s])
 
 
 def rho(s) -> SpectrumSet:
@@ -201,7 +237,7 @@ def in_cross(params: MajorantParams, boxes, n: float) -> np.ndarray:
 
 
 def _members(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, rows.tolist()))
+    return tuple(zip(*rows.T.tolist()))
 
 
 @lru_cache(maxsize=2)
@@ -335,6 +371,28 @@ def _check_series(params: MajorantParams, n: float, p: float, beta: float) -> fl
     return _check_n(n)
 
 
+@lru_cache(maxsize=2)
+def _prefix_split(params: MajorantParams, n: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rows of chi(N) grouped by their first k coordinates, for each axis
+    k, as ``tail_sum`` reads them: for each group P, the index lo - 1 and hi
+    of its interval [lo, hi] of s_k, and P's coordinates minus 1 on the axes
+    before k as a (k, groups) array.  Empty when chi(N) is.  Read-only, and
+    cached like ``_cross`` but apart from it, since a shell reads
+    ``_cross`` at 2^l N and never splits it."""
+    rows, _ = _cross(params, n)
+    split = []
+    # the first row of each group of equal k-prefixes, the one group at k = 0
+    first = np.arange(len(rows)) == 0
+    for k in range(params.d if len(rows) else 0):
+        last = np.append(first[1:], True)
+        group = (rows[first, k] - 1, rows[last, k], (rows[first, :k] - 1).T)
+        for arr in group:
+            arr.setflags(write=False)
+        split.append(group)
+        first[1:] |= rows[1:, k] != rows[:-1, k]
+    return tuple(split)
+
+
 def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSumResult:
     """Sum of w(s)^{-p} 2^{beta p |s|_1} over all boxes s outside chi(N),
     with a bound that covers truncation and rounding.  Only positive terms
@@ -359,38 +417,43 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSum
     truncation is at most value ((1 + worst)^d - 1).  ``bound`` adds to it a
     rounding allowance of a few ulps per summed term and per factor, and the
     true value lies in [value, value + bound].
+
+    The terms g_j, the prefix sums and the suffix sums of all d axes are one
+    (d, s_max) array each, and the groups P with their [lo, hi] come from
+    ``_prefix_split``, built once per (majorant, N) whatever p and beta, so
+    a call adds per axis k one gather and product over the groups.
     """
     n = _check_series(params, n, p, beta)
     rows, _ = _cross(params, n)
+    split = _prefix_split(params, n)
     d, r, a = params.d, params.r, (params.r - beta) * p
     s_star = [math.ceil(-2 * bj * p / (a * math.log(2))) for bj in params.b if bj < 0]
     s_max = max([8, int(rows.max(initial=0)) + 1, *s_star])
     # the smallest suffix used on axis k starts past the largest s_k in the cross
     top = rows.max(axis=0, initial=0)
+    b = np.array(params.b, dtype=float)[:, None]
+    ratio = np.array([2.0 ** (-a if bj >= 0 else -a / 2) for bj in params.b])
     while True:
+        # row j holds axis j's terms g_j(s), s = 1..s_max, and their sums:
+        # pre[j, i] over s <= i and suf[j, i] over s > i
         s = np.arange(1, s_max + 1)
-        terms, pre, suf, worst = [], [], [], 0.0
-        for bj, t in zip(params.b, top):
-            g = _exp2(-p * (_axis_log2_weight(r, bj, s) - beta * s))
-            ratio = 2.0 ** (-a if bj >= 0 else -a / 2)
-            terms.append(g)
-            pre.append(np.concatenate([[0.0], np.cumsum(g)]))
-            suf.append(np.append(np.cumsum(g[::-1])[::-1], 0.0))
-            worst = max(worst, float(g[-1] * ratio / (1 - ratio) / suf[-1][t]))
+        g = _exp2(-p * (_axis_log2_weight(r, b, np.broadcast_to(s, (d, s_max))) - beta * s))
+        pre = np.zeros((d, s_max + 1))
+        np.cumsum(g, axis=1, out=pre[:, 1:])
+        suf = np.zeros((d, s_max + 1))
+        suf[:, :-1] = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+        worst = float((g[:, -1] * ratio / (1 - ratio) / suf[np.arange(d), top]).max())
         if worst <= TAIL_REL_BOUND / (2 * d):
             break
         if s_max > 10 ** 6:
             raise CapacityError("tail sum failed to certify below the requested bound")
         s_max *= 2
 
-    full = [float(sf[0]) for sf in suf]
-    value = 0.0 if len(rows) else math.prod(full)
-    for k in range(d if len(rows) else 0):
-        first = np.r_[True, (rows[1:, :k] != rows[:-1, :k]).any(axis=1)]
-        last = np.r_[first[1:], True]
-        lo, hi = rows[first, k], rows[last, k]
-        head = np.prod([terms[j][rows[first, j] - 1] for j in range(k)], axis=0)
-        part = head * (pre[k][lo - 1] + suf[k][hi])
+    full = suf[:, 0].tolist()
+    value = 0.0 if split else math.prod(full)
+    for k, (below, hi, heads) in enumerate(split):
+        head = np.prod(g[np.arange(k)[:, None], heads], axis=0)
+        part = head * (pre[k, below] + suf[k, hi])
         value += float(part.sum()) * math.prod(full[k + 1:])
     # Rounding, in units of eps.  A factor g_j(s) is exp2 of an argument
     # |y| <= y_max that carries a few ulps of |y|, so it is off by at most

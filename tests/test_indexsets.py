@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepcross.errors import CapacityError, ParameterError
-from stepcross.majorant import MajorantParams, log2_weight
+from stepcross.majorant import MajorantParams, _axis_log2_weight, _exp2, log2_weight
 from stepcross.verify import MIXED_2D, PLAIN_2D, PLAIN_3D
 from stepcross.indexsets import (
+    EPS,
+    TAIL_REL_BOUND,
     _cross,
+    _prefix_split,
     SpectrumSet,
     rho,
     chi,
@@ -127,6 +130,42 @@ class TestRho:
     def test_rejects_zero_index(self):
         with pytest.raises(ParameterError):
             rho((0, 2))
+
+    def test_materialize_rejects_a_coordinate_below_one(self):
+        # once a raw "ValueError: negative shift count" (and for 1.5 a raw
+        # TypeError)
+        for box in ((0, 1), (2, -3), (1.5, 2)):
+            with pytest.raises(ParameterError):
+                SpectrumSet(d=2, boxes=(box,)).materialize()
+
+    def test_materialize_rejects_a_box_of_the_wrong_length(self):
+        # once returned as rows of three columns
+        with pytest.raises(ParameterError):
+            SpectrumSet(d=2, boxes=((1, 2), (1, 1, 1))).materialize()
+
+    def test_materialize_rejects_a_repeated_box(self):
+        # once returned each row twice
+        with pytest.raises(ParameterError):
+            SpectrumSet(d=2, boxes=((1, 2), (2, 1), (1, 2))).materialize()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(1, (9, 5, 4)[d - 1])] * d), min_size=1, max_size=10, unique=True)))
+    def test_materialize_matches_sorted_box_tensors(self, boxes):
+        # boxes in any order, a single box included; the reference is the
+        # first builder: every box as its own tensor grid, concatenated and
+        # lexsorted
+        def octave(sj):
+            pos = np.arange(1 << (sj - 1), 1 << sj)
+            return np.concatenate([-pos[::-1], pos])
+
+        pts = np.concatenate([
+            np.stack([m.reshape(-1) for m in np.meshgrid(*map(octave, s), indexing="ij")], axis=1)
+            for s in boxes])
+        want = pts[np.lexsort(pts.T[::-1])]
+        got = SpectrumSet(d=len(boxes[0]), boxes=tuple(boxes)).materialize()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestChi:
@@ -357,6 +396,43 @@ class TestThetaSum:
         assert 0 < ts <= full.value * (1 + 1e-9)
 
 
+def per_axis_tail_sum(params, n, p, beta):
+    """Reference for tail_sum's bits: the first positive-term version, with
+    one table per axis and the prefix split of the cross rows recomputed
+    per call.  Returns (value, bound, s_max)."""
+    rows, _ = _cross(params, n)
+    d, r, a = params.d, params.r, (params.r - beta) * p
+    s_star = [math.ceil(-2 * bj * p / (a * math.log(2))) for bj in params.b if bj < 0]
+    s_max = max([8, int(rows.max(initial=0)) + 1, *s_star])
+    top = rows.max(axis=0, initial=0)
+    while True:
+        s = np.arange(1, s_max + 1)
+        terms, pre, suf, worst = [], [], [], 0.0
+        for bj, t in zip(params.b, top):
+            g = _exp2(-p * (_axis_log2_weight(r, bj, s) - beta * s))
+            ratio = 2.0 ** (-a if bj >= 0 else -a / 2)
+            terms.append(g)
+            pre.append(np.concatenate([[0.0], np.cumsum(g)]))
+            suf.append(np.append(np.cumsum(g[::-1])[::-1], 0.0))
+            worst = max(worst, float(g[-1] * ratio / (1 - ratio) / suf[-1][t]))
+        if worst <= TAIL_REL_BOUND / (2 * d):
+            break
+        s_max *= 2
+    full = [float(sf[0]) for sf in suf]
+    value = 0.0 if len(rows) else math.prod(full)
+    for k in range(d if len(rows) else 0):
+        first = np.r_[True, (rows[1:, :k] != rows[:-1, :k]).any(axis=1)]
+        last = np.r_[first[1:], True]
+        lo, hi = rows[first, k], rows[last, k]
+        head = np.prod([terms[j][rows[first, j] - 1] for j in range(k)], axis=0)
+        part = head * (pre[k][lo - 1] + suf[k][hi])
+        value += float(part.sum()) * math.prod(full[k + 1:])
+    y_max = p * ((r + abs(beta)) * s_max + max(map(abs, params.b)) * math.log2(s_max))
+    ulps = d * (2 * y_max + 3 + s_max) + len(rows) + 2 * d
+    bound = value * (math.expm1(d * math.log1p(worst)) + ulps * EPS)
+    return value, bound, s_max
+
+
 B_CHOICES = (-1.0, -0.5, -1 / 3, 0.0, 0.25, 1 / 3, 0.5, 1.0)
 
 
@@ -408,6 +484,14 @@ class TestCrossProperties:
                  for s in theta(params, n)]
         assert theta_sum(params, n, p, beta) == pytest.approx(math.fsum(shell), rel=1e-12, abs=0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_crosses(), st.sampled_from((1.0, 2.0)), st.booleans())
+    def test_tail_sum_matches_the_per_axis_loop(self, case, p, shifted):
+        params, n = case
+        beta = params.r / 2 if shifted else 0.0
+        res = tail_sum(params, n, p, beta)
+        assert (res.value, res.bound, res.s_max) == per_axis_tail_sum(params, n, p, beta)
+
     def test_exact_tie_is_inside(self):
         params = P(2, 1.0, (1 / 3, 1 / 3))
         # log2 w(2, 4) = 6 + (1 + 2) / 3 = 7
@@ -436,14 +520,17 @@ class TestSharedEnumeration:
     def test_cached_arrays_are_read_only(self):
         rows, log2w = _cross(PLAIN_2D, 2.0 ** 10)
         assert len(rows) == len(log2w) > 0
-        for arr in (rows, log2w):
+        split = _prefix_split(PLAIN_2D, 2.0 ** 10)
+        assert len(split) == PLAIN_2D.d
+        for arr in (rows, log2w, *itertools.chain(*split)):
             with pytest.raises(ValueError):
-                arr[0] = 1
+                arr[..., :1] = 1
 
     def test_one_cross_sets_item_enumerates_twice(self):
         # the calls one bench cross_sets item makes at one (params, N)
         params, n = MIXED_2D, 2.0 ** 12
         _cross.cache_clear()
+        _prefix_split.cache_clear()
         for call in (chi, theta, theta_prime, q_size, size_prediction):
             call(params, n)
         chi(params, n * 2.0 ** params.l)
@@ -452,3 +539,5 @@ class TestSharedEnumeration:
                 tail_sum(params, n, p, beta)
                 theta_sum(params, n, p, beta)
         assert _cross.cache_info().misses == 2
+        # the four tail sums at N split the cross rows once
+        assert _prefix_split.cache_info().misses == 1
