@@ -109,8 +109,8 @@ def _cross_mask(f: TrigPolynomial, omega: MajorantParams, n: float) -> np.ndarra
     if f.d != omega.d:
         raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
     octs = f.octaves()
-    ok = np.all(octs >= 1, axis=1)
-    ok[ok] = in_cross(omega, octs[ok], n)
+    ok = np.logical_and.reduce([col >= 1 for col in octs.T])
+    ok[ok] = in_cross(omega, octs.compress(ok, axis=0), n)
     return ok
 
 

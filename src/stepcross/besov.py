@@ -13,8 +13,9 @@ expression at the integrability endpoints; the dispatcher uses blocks for
 both forms, in the norms and in the battery's equivalence check alike:
 ``besov_terms`` computes the weighted terms for one or several p and
 ``combine`` sums them.  It sorts the coefficients by octave once, gathers
-each band piece from the at most 2^d blocks it touches, and takes each
-piece's norms for every p from one grid pass.
+each band piece from the at most 2^d blocks it touches, builds each piece
+with one constructor (its rows times the band multiplier, pruned once),
+and takes each piece's norms for every p from one grid pass.
 
 Functions with a frequency on a coordinate hyperplane (some k_j = 0) carry
 no octave index and are rejected.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_exponent, check_exponents
-from .kernels import band_apply
+from .kernels import band_multiplier
 from .majorant import MajorantParams, omega_dyadic
 # lp_norm stays a name of this module: bench/tests checks that the bench
 # tracer wraps it here, as in the other modules that bind it
@@ -64,13 +65,14 @@ def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
     if f.is_zero:
         return {}
     octs = f.octaves()
-    if not all(octs[:, j].all() for j in range(f.d)):
-        k = tuple(int(v) for v in f.ks[np.flatnonzero(np.any(octs == 0, axis=1))[0]])
+    zeros = [int(octs[:, j].argmin()) for j in range(f.d) if not octs[:, j].all()]
+    if zeros:
+        k = tuple(int(v) for v in f.ks[min(zeros)])
         raise ParameterError(
             f"frequency {k} has a zero coordinate and belongs to no dyadic octave")
     order = np.lexsort(octs.T[::-1])
     # a group starts wherever some sorted column changes
-    cols = [octs[order, j] for j in range(f.d)]
+    cols = [octs[:, j].take(order) for j in range(f.d)]
     new = cols[0][1:] != cols[0][:-1]
     for col in cols[1:]:
         new |= col[1:] != col[:-1]
@@ -81,7 +83,7 @@ def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
 
 def dyadic_blocks(f: TrigPolynomial) -> dict[tuple[int, ...], TrigPolynomial]:
     """Split f into octave blocks delta_s, keyed by the octave index in lex order."""
-    return {s: TrigPolynomial._canonical(f.ks[rows], f.cs[rows])
+    return {s: TrigPolynomial._canonical(f.ks.take(rows, axis=0), f.cs.take(rows))
             for s, rows in _octave_rows(f).items()}
 
 
@@ -94,7 +96,8 @@ def _band_pieces(f: TrigPolynomial):
             touched.setdefault(s, []).append(rows)
     for s in sorted(touched):
         rows = np.sort(np.concatenate(touched[s]))
-        piece = band_apply(TrigPolynomial._canonical(f.ks[rows], f.cs[rows]), s)
+        ks = f.ks.take(rows, axis=0)
+        piece = TrigPolynomial._canonical(ks, f.cs.take(rows) * band_multiplier(s, ks))
         if not piece.is_zero:
             yield s, piece
 

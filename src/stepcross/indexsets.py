@@ -265,11 +265,11 @@ def _cross(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
         if keep_row.size > ENUMERATION_CAP:
             raise CapacityError(
                 f"hyperbolic cross at N={n} exceeds {ENUMERATION_CAP} boxes")
-        rows = np.column_stack([rows[keep_row], s[keep_s]])
-        used = used[keep_row] + w[keep_s]
+        rows = np.column_stack([rows.take(keep_row, axis=0), s.take(keep_s)])
+        used = used.take(keep_row) + w.take(keep_s)
     # ``used`` adds log2_weight's terms in its column order from 0.0: its bits
     keep = _inside(used, n)
-    rows, log2w = rows[keep], used[keep]
+    rows, log2w = rows.compress(keep, axis=0), used.compress(keep)
     rows.setflags(write=False)
     log2w.setflags(write=False)
     return rows, log2w
@@ -285,7 +285,7 @@ def _shell(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
     """The rows of chi(2^l N) outside chi(N) and their ``log2_weight``."""
     rows, log2w = _cross(params, n * _exp2(float(params.l)))
     out = ~_inside(log2w, n)
-    return rows[out], log2w[out]
+    return rows.compress(out, axis=0), log2w.compress(out)
 
 
 def theta(params: MajorantParams, n: float) -> IndexFamily:
@@ -317,13 +317,14 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
     # mark the cross rows of each prefix (row-lex order is ravel order) by
     # their last coordinate; the first unmarked s >= 1 is outside chi(N)
     rows = _cross(params, n)[0]
-    rows = rows[((rows[:, :-1] >= lo) & (rows[:, :-1] <= hi)).all(axis=1)]
+    inner = [(c >= lo) & (c <= hi) for c in rows.T[:-1]]
+    rows = rows.compress(np.logical_and.reduce(inner), axis=0)
     inside = np.zeros((len(prefixes), rows[:, -1].max(initial=0) + 2), dtype=bool)
     inside[np.ravel_multi_index(tuple((rows[:, :-1] - lo).T), (hi - lo + 1,) * (d - 1)),
            rows[:, -1]] = True
     last = inside[:, 1:].argmin(axis=1) + 1
     rows = np.column_stack([prefixes, last])
-    rows = rows[in_cross(params, rows, n * _exp2(float(params.l))) & (last >= lo)]
+    rows = rows.compress(in_cross(params, rows, n * _exp2(float(params.l))) & (last >= lo), axis=0)
     return IndexFamily(_members(rows))
 
 

@@ -75,10 +75,15 @@ def vallee_poussin(n: int) -> TrigPolynomial:
 
 def _band_factor(sj: int, k: np.ndarray) -> np.ndarray:
     # Octave 1 keeps the full V_2 profile (DC included); deeper octaves use
-    # the telescoping difference, supported on 2^{s-1} < |k| <= 2^{s+1} - 1.
+    # the telescoping difference, supported on 2^{s-1} < |k| <= 2^{s+1} - 1,
+    # in a closed form exact on its dyadic values (no 2^{s+1}-entry table).
+    a = np.abs(np.asarray(k, dtype=np.float64))
     if sj == 1:
-        return vp_coefficient(2, k)
-    return vp_coefficient(2 ** sj, k) - vp_coefficient(2 ** (sj - 1), k)
+        x = np.minimum(2.0 - 0.5 * a, 1.0)
+    else:
+        x = a * 2.0 ** (1 - sj) - 1.0
+        np.minimum(x, 2.0 - a * 2.0 ** -sj, out=x)
+    return np.maximum(x, 0.0, out=x)
 
 
 def band_multiplier(s, ks) -> np.ndarray:

@@ -112,7 +112,9 @@ class TrigPolynomial:
     are copied, so the caller's arrays are never frozen.  Zeros are pruned
     either way.  Derived polynomials that keep the rows in order (sign,
     scaling, translation, restriction, blocks, band pieces) only prune.
-    Non-finite coefficients or scalars raise ``ParameterError``.
+    Non-finite coefficients or scalars raise ``ParameterError``.  Rows are
+    gathered with ``take``/``compress`` and reduced a column at a time, as
+    numpy's fancy indexing and short-axis reductions take a slow path.
     """
 
     __slots__ = ("ks", "cs")
@@ -135,9 +137,9 @@ class TrigPolynomial:
             ks, cs = ks.copy(), cs.copy()
         else:
             order = np.lexsort(ks.T[::-1])
-            ks, cs = ks[order], cs[order]
+            ks, cs = ks.take(order, axis=0), cs.take(order)
             starts = np.flatnonzero(np.r_[True, _lex_less(ks[:-1], ks[1:])])
-            ks, cs = ks[starts], np.add.reduceat(cs, starts)
+            ks, cs = ks.take(starts, axis=0), np.add.reduceat(cs, starts)
         self._prune_and_freeze(ks, cs)
 
     def _prune_and_freeze(self, ks, cs):
@@ -145,7 +147,7 @@ class TrigPolynomial:
             raise ParameterError("coefficients must be finite")
         keep = cs != 0
         if not np.all(keep):
-            ks, cs = ks[keep], cs[keep]
+            ks, cs = ks.compress(keep, axis=0), cs.compress(keep)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "cs", cs)
         ks.setflags(write=False)
@@ -178,10 +180,11 @@ class TrigPolynomial:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """Coordinatewise max |k_j| (all zeros for the zero polynomial)."""
+        """Coordinatewise max |k_j|, exact over int64 (zeros for the zero polynomial)."""
         if self.is_zero:
             return (0,) * self.d
-        return tuple(int(v) for v in np.max(np.abs(self.ks), axis=0))
+        mag = np.abs(self.ks).view(np.uint64)  # as in ``octaves``
+        return tuple(int(mag[:, j].max()) for j in range(self.d))
 
     @classmethod
     def zero(cls, d: int) -> "TrigPolynomial":
@@ -250,7 +253,7 @@ class TrigPolynomial:
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.size != self.n_terms:
             raise ParameterError("mask length must equal the term count")
-        return TrigPolynomial._canonical(self.ks[mask], self.cs[mask])
+        return TrigPolynomial._canonical(self.ks.compress(mask, axis=0), self.cs.compress(mask))
 
     # -- evaluation -------------------------------------------------------
 
@@ -571,7 +574,8 @@ def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
     """The norms of f at the distinct exponents ``ps`` (none of them 2), as
     a dict p -> norm: the sup ladder runs first, then the mean ladder, then
     the exact grids that neither ladder evaluated."""
-    spread = [int(w) for w in np.ptp(f.ks, axis=0)]  # the degrees of |f|^2
+    # the degrees of |f|^2, in Python ints: a spread past 2^63 does not wrap
+    spread = [int(col.max()) - int(col.min()) for col in f.ks.T]
     sup, mean, exact, norms = [], [], {}, {}  # exact: an exact even-p grid -> its p
     for p in ps:
         if p == math.inf:

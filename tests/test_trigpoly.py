@@ -42,6 +42,10 @@ class TestContainer:
         f = TrigPolynomial([[2, -7], [-3, 1]], [1.0, 1.0])
         assert f.degrees == (3, 7)
         assert TrigPolynomial.zero(2).degrees == (0, 0)
+        # exact at the int64 edge: |-2^63| is 2^63, not a wrapped -2^63
+        edge = TrigPolynomial([[-2 ** 63, 1], [3, 2]], [1, 1])
+        assert edge.degrees == (2 ** 63, 2)
+        assert all(type(v) is int for v in edge.degrees)
 
     def test_immutable(self):
         f = one_plus_exp()
@@ -807,6 +811,20 @@ class TestSpreadSizing:
         got = lp_norm(g, p)
         assert grid_shapes == f_shapes
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_spread_past_int64_does_not_wrap(self):
+        # spread 2^63 + 3 on axis 0, past int64, must still size a grid.
+        # |f| = |1 + e^{i((2^63 + 3) x + y)}| has the law of
+        # |1 + e^{it}|, whose L_p norm is (2^p G((p+1)/2) / (sqrt(pi) G(p/2+1)))^{1/p}
+        f = TrigPolynomial([[-2 ** 63, 1], [3, 2]], [1, 1])
+        quad = QuadratureSpec()
+        gamma = math.gamma
+        want = {p: (2 ** p * gamma((p + 1) / 2) / (math.sqrt(math.pi) * gamma(p / 2 + 1))) ** (1 / p)
+                for p in (1.5, 4)}
+        want[INF] = 2.0
+        assert want[4] == pytest.approx(6 ** 0.25, rel=1e-15)
+        for p, value in want.items():
+            assert lp_norm(f, p, quad) == pytest.approx(value, rel=quad.rel_tol), p
 
     @pytest.mark.parametrize("p", [4, 6])
     @pytest.mark.parametrize("s", [(11,), (9, 7)])
