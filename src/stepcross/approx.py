@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, besov_norm, normalize_to_ball
-from .errors import ParameterError, UnsupportedRegimeError, check_exponent, check_int
+from .errors import ParameterError, UnsupportedRegimeError, check_exponent, check_int, check_real
 from .extremal import WITNESS_BUILDERS, WitnessConfig
 from .indexsets import _check_n, in_cross, q_set, q_size, rho, theta
 from .majorant import MajorantParams, omega_dyadic
@@ -94,11 +94,16 @@ def classify_regime(omega: MajorantParams, p: float, q: float, theta_: float) ->
 
 def theoretical_rate(omega: MajorantParams, regime: RateRegime, m: int) -> float:
     """Predicted error M^{-main} (log2 M)^{log_expo} for M >= 4 frequencies."""
-    m = check_int(m, "the frequency count M", lo=4)
+    m = _check_count(m)
     check = classify_regime(omega, regime.p, regime.q, regime.theta)
     if (check.main_exponent, check.log_exponent) != (regime.main_exponent, regime.log_exponent):
         raise ParameterError("regime exponents do not match the given majorant")
     return float(m) ** (-regime.main_exponent) * math.log2(m) ** regime.log_exponent
+
+
+def _check_count(m) -> int:
+    """The frequency count M of a rate, an integer >= 4 by ``check_int``."""
+    return check_int(m, "the frequency count M", lo=4)
 
 
 def _cross_mask(f: TrigPolynomial, omega: MajorantParams, n: float) -> np.ndarray:
@@ -203,9 +208,7 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
     eff_samples = 1 if family in WITNESS_BUILDERS else samples
     for i, n in enumerate(n_grid):
         m = q_size(omega, n)
-        if m < 4:
-            raise ParameterError(
-                f"cross at N={n} has only {m} frequencies; the rate needs M >= 4")
+        theory = theoretical_rate(omega, regime, m)
         worst = 0.0
         for j in range(eff_samples):
             if family == "random_ball":
@@ -218,8 +221,7 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
                 f = WITNESS_BUILDERS[family](WitnessConfig(omega=omega, bp=bp, n=n))
             f, _ = normalize_to_ball(f, omega, bp, quad)
             worst = max(worst, approx_error(f, omega, n, q, quad))
-        records.append(ExperimentRecord(
-            n=n, m=m, error=worst, theory=theoretical_rate(omega, regime, m)))
+        records.append(ExperimentRecord(n=n, m=m, error=worst, theory=theory))
     return records
 
 
@@ -242,18 +244,16 @@ class RateFit:
 def fit_rate(records: list[ExperimentRecord]) -> RateFit:
     """Recover the main and logarithmic exponents from experiment records.
 
-    Needs at least 5 records spanning at least 3 octaves in M, with strictly
-    positive errors.  The two-point slope across the largest span is
-    reported alongside as a design-insensitive check; the regression
-    condition number flags near-collinearity of the log-log design.
+    Needs at least 5 records spanning at least 3 octaves in M, each with
+    M >= 4 and a finite positive error.  The two-point slope across the
+    largest span is reported alongside as a design-insensitive check; the
+    regression condition number flags a near-collinear log-log design.
     """
     if len(records) < 5:
         raise ParameterError(f"need at least 5 records, got {len(records)}")
-    ms = np.array([rec.m for rec in records], dtype=float)
-    errors = np.array([rec.error for rec in records], dtype=float)
-    if np.any(errors <= 0):
-        raise ParameterError("all record errors must be positive to fit rates")
-    if np.min(ms) <= 0 or np.max(ms) / np.min(ms) < 8:
+    errors = np.array([check_real(rec.error, "a record error", lo=0) for rec in records])
+    ms = np.array([_check_count(rec.m) for rec in records], dtype=float)
+    if np.max(ms) / np.min(ms) < 8:
         raise ParameterError("records must span at least 3 octaves in M")
 
     lm = np.log2(ms)

@@ -125,6 +125,7 @@ def besov_terms(f: TrigPolynomial, omega: MajorantParams, ps, form: str,
 
 def combine(terms, theta: float) -> float:
     """The l_theta sum of the norm terms (their max at theta = inf)."""
+    theta = check_exponent(theta, "theta")
     if theta == math.inf:
         return max(terms, default=0.0)
     return sum(t ** theta for t in terms) ** (1.0 / theta)

@@ -344,15 +344,10 @@ def main(argv=None) -> int:
     """Run one subcommand: its header and body go to ``--out`` or to
     ``sys.stdout`` (looked up here, so a redirect of it is honoured), and an
     error of ``_EXIT_CODES`` becomes one ``error:`` line and its exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = {}
-        for i, token in enumerate(argv):
-            if token == "--config" and i + 1 < len(argv):
-                config = _load_config(argv[i + 1])
-            elif token.startswith("--config="):
-                config = _load_config(token.split("=", 1)[1])
-        args = build_parser(config).parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:  # parse again, the file giving the defaults
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         body, code = args.func(args)
         if not args.out:
             sys.stdout.write(_header(args) + body)

@@ -83,7 +83,9 @@ class SpectrumSet:
     The box with index s holds the frequencies k with
     2^{s_j - 1} <= |k_j| < 2^{s_j} and k_j != 0 in every coordinate, so it
     contains exactly 2^{|s|_1} points.  Cardinality is exact (Python ints);
-    materialization is guarded by a point-count cap.
+    materialization is guarded by a point-count cap.  ``size`` and ``len``
+    count the boxes as given: only ``from_boxes``, ``rho`` and
+    ``materialize`` check them.
     """
 
     d: int
@@ -113,12 +115,16 @@ class SpectrumSet:
         if len(set(boxes)) < len(boxes):
             raise ParameterError("a box is given twice")
         size = sum(1 << sum(s) for s in boxes)
-        if size > MATERIALIZE_CAP:
-            raise CapacityError(
-                f"spectrum holds {size} frequencies, exceeding the cap {MATERIALIZE_CAP}")
+        _check_cap(size, "spectrum")
         out = np.empty((size, self.d), dtype=np.int64)
         _fill(out, boxes)
         return out
+
+
+def _check_cap(count: int, what: str) -> None:
+    """Refuse more than ``MATERIALIZE_CAP`` rows, counted before they are allocated."""
+    if count > MATERIALIZE_CAP:
+        raise CapacityError(f"{what} holds {count} rows, exceeding the cap {MATERIALIZE_CAP}")
 
 
 def _fill(out: np.ndarray, boxes) -> None:
@@ -301,7 +307,8 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
     L = floor(log2 N); the last coordinate is the smallest one pushing the
     box out of chi(N).  Members outside chi(2^l N), or whose last coordinate
     falls below the common lower bound, are discarded.  In dimension one
-    this is the shell itself.
+    this is the shell itself.  A grid of more than ``MATERIALIZE_CAP``
+    prefixes raises CapacityError before it is built.
     """
     n = _check_n(n)
     if params.d == 1:
@@ -313,6 +320,7 @@ def theta_prime(params: MajorantParams, n: float) -> IndexFamily:
     hi = math.floor(big_l / (r * d))
     if hi < lo:
         return IndexFamily(())
+    _check_cap((hi - lo + 1) ** (d - 1), "balanced-shell prefix grid")
     prefixes = _tensor_rows([np.arange(lo, hi + 1)] * (d - 1))
     # mark the cross rows of each prefix (row-lex order is ravel order) by
     # their last coordinate; the first unmarked s >= 1 is outside chi(N)
@@ -338,7 +346,7 @@ def q_set(params: MajorantParams, n: float) -> SpectrumSet:
 def q_size(params: MajorantParams, n: float) -> int:
     """Exact cardinality of Q(N) as a Python integer."""
     rows, _ = _cross(params, _check_n(n))
-    return sum(1 << t for t in rows.sum(axis=1).tolist())
+    return sum(1 << t for t in sum(rows.T).tolist())
 
 
 def size_prediction(params: MajorantParams, n: float) -> float:
@@ -386,7 +394,8 @@ def _prefix_split(params: MajorantParams, n: float) -> tuple[tuple[np.ndarray, .
     first = np.arange(len(rows)) == 0
     for k in range(params.d if len(rows) else 0):
         last = np.append(first[1:], True)
-        group = (rows[first, k] - 1, rows[last, k], (rows[first, :k] - 1).T)
+        head = rows.T[:k + 1].compress(first, axis=1) - 1
+        group = (head[k], rows[:, k].compress(last), head[:k])
         for arr in group:
             arr.setflags(write=False)
         split.append(group)
@@ -471,4 +480,4 @@ def theta_sum(params: MajorantParams, n: float, p: float, beta: float) -> float:
     """The tail_sum summand w(s)^{-p} 2^{beta p |s|_1}, summed over the
     boundary shell."""
     rows, log2w = _shell(params, _check_series(params, n, p, beta))
-    return float(_exp2(-p * (log2w - beta * rows.sum(axis=1))).sum())
+    return float(_exp2(-p * (log2w - beta * sum(rows.T))).sum())

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import indexsets
-from .errors import CapacityError, ParameterError, check_int, check_point
+from .errors import ParameterError, check_int, check_point
 from .majorant import check_box_index
 from .trigpoly import TrigPolynomial, _frequencies
 
@@ -31,14 +31,6 @@ __all__ = [
     "ks_vector",
     "k_packet",
 ]
-
-
-def _check_terms(n_terms: int) -> None:
-    """Refuse a kernel of more than ``indexsets.MATERIALIZE_CAP`` terms,
-    counted in Python ints before any array is allocated."""
-    if n_terms > indexsets.MATERIALIZE_CAP:
-        raise CapacityError(
-            f"kernel holds {n_terms} terms, exceeding the cap {indexsets.MATERIALIZE_CAP}")
 
 
 def fejer_coefficient(n: int, k) -> np.ndarray:
@@ -60,7 +52,7 @@ def vp_coefficient(n: int, k) -> np.ndarray:
 def fejer(n: int) -> TrigPolynomial:
     """The univariate Fejer kernel of order n; K_n(0) = n + 1, L1 norm 1."""
     n = check_int(n, "kernel order")
-    _check_terms(2 * n + 1)
+    indexsets._check_cap(2 * n + 1, "kernel")
     ks = np.arange(-n, n + 1, dtype=np.int64)
     return TrigPolynomial(ks.reshape(-1, 1), fejer_coefficient(n, ks))
 
@@ -68,7 +60,7 @@ def fejer(n: int) -> TrigPolynomial:
 def vallee_poussin(n: int) -> TrigPolynomial:
     """The univariate de la Vallee Poussin kernel of order n; V_n(0) = 3n."""
     n = check_int(n, "kernel order")
-    _check_terms(4 * n - 1)
+    indexsets._check_cap(4 * n - 1, "kernel")
     ks = np.arange(-(2 * n - 1), 2 * n, dtype=np.int64)
     return TrigPolynomial(ks.reshape(-1, 1), vp_coefficient(n, ks))
 
@@ -106,7 +98,7 @@ def band_kernel(s) -> TrigPolynomial:
     s = check_box_index(s)
     # nonzero profile values per axis: |k| <= 3 for s_j = 1, else
     # 2^{s_j - 1} < |k| <= 2^{s_j + 1} - 1
-    _check_terms(math.prod(7 if sj == 1 else 3 * 2 ** sj - 2 for sj in s))
+    indexsets._check_cap(math.prod(7 if sj == 1 else 3 * 2 ** sj - 2 for sj in s), "kernel")
     axes = []
     for sj in s:
         hi = 2 ** (sj + 1) - 1
@@ -152,7 +144,7 @@ def k_packet(s, x_center=None, u=None) -> TrigPolynomial:
         if len(us) != d:
             raise ParameterError(f"packet width has {len(us)} values, expected {d}")
         us = [check_int(uj, "packet width") for uj in us]
-    _check_terms(math.prod(2 * uj + 1 for uj in us))
+    indexsets._check_cap(math.prod(2 * uj + 1 for uj in us), "kernel")
     anchor = ks_vector(s)
     x_center = np.zeros(d) if x_center is None else check_point(x_center, "center", d)
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -204,7 +205,7 @@ class TrigPolynomial:
         k = _frequencies(k).reshape(-1)
         if k.size != self.d:
             raise ParameterError(f"frequency has {k.size} coordinates, expected {self.d}")
-        hit = np.flatnonzero(np.all(self.ks == k, axis=1))
+        hit = np.flatnonzero(np.logical_and.reduce([col == kj for col, kj in zip(self.ks.T, k)]))
         return complex(self.cs[hit[0]]) if hit.size else 0.0 + 0.0j
 
     def octaves(self) -> np.ndarray:
@@ -348,11 +349,14 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
     ``law='gaussian'`` draws independent complex normal coefficients;
     ``law='unit_complex'`` puts every coefficient on the unit circle with a
     uniform phase.  ``seed`` feeds a dedicated generator, so results are
-    reproducible and independent of call order.
+    reproducible and independent of call order; a number must be an integer
+    >= 0, and a generator or seed sequence passes as it is.
     """
     ks = spectrum.materialize() if isinstance(spectrum, SpectrumSet) else spectrum
     if np.ndim(ks) == 0:
         raise ParameterError(f"spectrum must be a SpectrumSet or frequency rows, got {ks!r}")
+    if isinstance(seed, numbers.Number):
+        seed = check_int(seed, "seed", lo=0)
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:

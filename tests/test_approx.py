@@ -224,6 +224,12 @@ class TestExperiment:
             rate_experiment(P(1, 1.0, 0.0), BesovParams(2.0, 2.0), q=2.0,
                             family="g9", n_grid=[2.0 ** 8])
 
+    def test_cross_below_4_frequencies(self):
+        # chi(2) of the plain 1-D majorant is box 1 alone: M = 2
+        with pytest.raises(ParameterError, match="M takes integers >= 4, got 2"):
+            rate_experiment(P(1, 1.0, 0.0), BesovParams(2.0, 2.0), q=2.0,
+                            family="random_ball", n_grid=[2.0, 2.0 ** 8])
+
     def test_g3_errors_positive(self):
         omega = P(2, 1.5, (0.0, 0.0))
         recs = rate_experiment(omega, BesovParams(2.0, 2.0), q=2.0, family="g3",
@@ -275,9 +281,21 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit_rate(self.synthetic(ms, [m ** -1.0 for m in ms]))
 
-    def test_zero_error_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, INF])
+    def test_zero_error_rejected(self, bad):
+        # NaN and inf once gave NaN exponents
         ms = [2 ** k for k in range(5, 11)]
         errs = [m ** -1.0 for m in ms]
-        errs[2] = 0.0
-        with pytest.raises(ParameterError):
+        errs[2] = bad
+        with pytest.raises(ParameterError, match="record error must be finite and positive"):
             fit_rate(self.synthetic(ms, errs))
+
+    @pytest.mark.parametrize("m", [1, 3, 4.5, True])
+    def test_frequency_count_below_4_rejected(self, capfd, m):
+        # M = 1 once reached LAPACK: DLASCL lines on stdout, then a raw LinAlgError
+        ms = [2 ** k for k in range(5, 11)]
+        recs = self.synthetic(ms, [v ** -1.0 for v in ms])
+        recs[0] = ExperimentRecord(n=1.0, m=m, error=0.5, theory=1.0)
+        with pytest.raises(ParameterError, match="M takes integers >= 4"):
+            fit_rate(recs)
+        assert capfd.readouterr() == ("", "")

@@ -163,7 +163,6 @@ MALFORMED_POLYS = {
     "word_coefficient": "d=1\n1 one 0.0\n",
     "overflowing_coefficient": "d=1\n1 1e400 0.0\n",
     "frequency_past_int64": "d=1\n99999999999999999999 1.0 0.0\n",
-    "frequency_int64_min": "d=1\n-9223372036854775808 1.0 0.0\n",
 }
 
 
@@ -174,6 +173,16 @@ def test_norms_malformed_poly_exit_2(tmp_path, capsys, name):
     code, err = exit_code(capsys, "norms", "--poly", str(path), "--p", "1.5,4,inf")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_norms_int64_min_frequency_exit_0(tmp_path, capsys):
+    # -2^63 is an int64 frequency: |k| = 2^63 is exact, and |e^{ikx}| = 1
+    path = tmp_path / "f.poly"
+    path.write_text("d=1\n-9223372036854775808 1.0 0.0\n")
+    code, out, err = run_cli(capsys, "norms", "--poly", str(path), "--p", "1.5,4,inf")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3:] == [
+        "terms: 1", "degrees: 9223372036854775808", "lp,1.5,1", "lp,4,1", "lp,inf,1"]
 
 
 @pytest.mark.parametrize("target", ["missing", "directory", "binary"])
@@ -307,10 +316,13 @@ def test_witness_out_includes_polynomial(tmp_path, capsys):
     assert f.n_terms == 1
 
 
-def test_config_defaults_flags_override(tmp_path, capsys):
+# argparse reads the flag, so its abbreviation loads the file too (once ignored)
+@pytest.mark.parametrize("spelling", [("--config", "{}"), ("--config={}",), ("--conf", "{}")])
+def test_config_defaults_flags_override(tmp_path, capsys, spelling):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 1.5, "n_max": 1024.0}))
-    code, out, _ = run_cli(capsys, "sets", "--config", str(cfg), "--d", "3", "--b", "0")
+    code, out, _ = run_cli(capsys, "sets", *[t.format(cfg) for t in spelling],
+                           "--d", "3", "--b", "0")
     assert code == 0
     params = next(ln for ln in out.splitlines() if ln.startswith("# params:"))
     assert "r=1.5" in params and "d=3" in params and "n_max=1024" in params

@@ -9,7 +9,7 @@ import pytest
 
 from stepcross.approx import (
     approx_error, classify_regime, project_q, rate_experiment, theoretical_rate)
-from stepcross.besov import BesovParams
+from stepcross.besov import BesovParams, combine
 from stepcross.errors import (
     CapacityError, ParameterError, check_exponent, check_int, check_point, check_real)
 from stepcross.extremal import WitnessConfig
@@ -83,6 +83,8 @@ class TestCheckInt:
             OM1, BesovParams(2.0, 2.0), 2.0, "random_ball", [2.0 ** 5], samples=x),
         "rate_experiment.seed": lambda x: rate_experiment(
             OM1, BesovParams(2.0, 2.0), 2.0, "random_ball", [2.0 ** 5], seed=x),
+        # True once drew seed 1, and 2.0 was refused
+        "random_in_spectrum.seed": lambda x: random_in_spectrum([[1], [5]], seed=x),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -149,6 +151,8 @@ class TestCheckExponent:
         "nikolskii_check.p": lambda x: nikolskii_check(F, 1.0, x),
         "tail_sum": lambda x: tail_sum(OM2, 64.0, x, 0.0),
         "theta_sum": lambda x: theta_sum(OM2, 64.0, x, 0.0),
+        # 0.5 once gave 4.0, True acted as 1, NaN gave NaN and "2" a raw TypeError
+        "combine": lambda x: combine([1.0, 1.0], x),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)

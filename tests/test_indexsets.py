@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stepcross import indexsets
 from stepcross.errors import CapacityError, ParameterError
 from stepcross.majorant import MajorantParams, _axis_log2_weight, _exp2, log2_weight
 from stepcross.verify import MIXED_2D, PLAIN_2D, PLAIN_3D
@@ -259,6 +260,15 @@ class TestThetaPrime:
 
     def test_tiny_n_empty(self):
         assert len(theta_prime(P(3, 1.5, (0.0, 0.0, 0.0)), 2)) == 0
+
+    def test_prefix_grid_cap(self, monkeypatch):
+        # the 7^2 prefixes at N = 2^40 are counted before the grid is built;
+        # at d = 5 and N = 2^1000 the grid once took 101^4 rows, about 6.7 GB
+        monkeypatch.setattr(indexsets, "MATERIALIZE_CAP", 49)
+        assert len(theta_prime(PLAIN_3D, 2 ** 40)) > 0
+        monkeypatch.setattr(indexsets, "MATERIALIZE_CAP", 48)
+        with pytest.raises(CapacityError, match="prefix grid holds 49 rows"):
+            theta_prime(PLAIN_3D, 2 ** 40)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

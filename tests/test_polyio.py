@@ -32,8 +32,7 @@ def test_round_trip_exact():
 def test_round_trip_bit_exact_property(data):
     # any int64 frequency and any finite float, subnormals and -0.0 included
     d = data.draw(st.sampled_from((1, 2, 3)), label="d")
-    limit = (1 << 63) - 1
-    rows = data.draw(st.lists(st.tuples(*[st.integers(-limit, limit)] * d),
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-(1 << 63), (1 << 63) - 1)] * d),
                               max_size=12, unique=True), label="ks")
     parts = st.floats(allow_nan=False, allow_infinity=False)
     cs = [complex(re, im) for re, im in data.draw(
@@ -43,6 +42,26 @@ def test_round_trip_bit_exact_property(data):
     assert g.d == d
     assert np.array_equal(g.ks, f.ks)
     assert np.array_equal(g.cs.view(np.int64), f.cs.view(np.int64))
+
+
+def test_round_trip_int64_min():
+    # -2^63 is an int64 frequency like any other; its |k| is 2^63
+    f = TrigPolynomial([[-2 ** 63, 1], [3, 2]], [1, 1])
+    g = loads_polynomial(dumps_polynomial(f))
+    assert g.ks.dtype == np.int64
+    assert g.ks.tolist() == f.ks.tolist() == [[-2 ** 63, 1], [3, 2]]
+    assert g.cs.tolist() == f.cs.tolist()
+
+
+@pytest.mark.parametrize("rows", [
+    "9223372036854775808 1 0",                 # 2^63: numpy reads a uint64 row
+    "-9223372036854775809 1 0",                # -2^63 - 1: an object row
+    "-1 1 0\n9223372036854775808 1 0",         # with a negative row: float64
+    "-1 1 0\n99999999999999999999 1 0",        # past uint64: object
+])
+def test_frequency_outside_int64_refused(rows):
+    with pytest.raises(ParameterError, match="within int64"):
+        loads_polynomial(f"d=1\n{rows}\n")
 
 
 def test_file_and_stream_round_trip(tmp_path):
