@@ -346,7 +346,8 @@ def q_set(params: MajorantParams, n: float) -> SpectrumSet:
 def q_size(params: MajorantParams, n: float) -> int:
     """Exact cardinality of Q(N) as a Python integer."""
     rows, _ = _cross(params, _check_n(n))
-    return sum(1 << t for t in sum(rows.T).tolist())
+    # c boxes with |s|_1 = t hold c 2^t points
+    return sum(c << t for t, c in enumerate(np.bincount(sum(rows.T)).tolist()))
 
 
 def size_prediction(params: MajorantParams, n: float) -> float:
@@ -438,9 +439,9 @@ def tail_sum(params: MajorantParams, n: float, p: float, beta: float) -> TailSum
     split = _prefix_split(params, n)
     d, r, a = params.d, params.r, (params.r - beta) * p
     s_star = [math.ceil(-2 * bj * p / (a * math.log(2))) for bj in params.b if bj < 0]
-    s_max = max([8, int(rows.max(initial=0)) + 1, *s_star])
     # the smallest suffix used on axis k starts past the largest s_k in the cross
-    top = rows.max(axis=0, initial=0)
+    top = np.array([col.max(initial=0) for col in rows.T])
+    s_max = max([8, int(top.max()) + 1, *s_star])
     b = np.array(params.b, dtype=float)[:, None]
     ratio = np.array([2.0 ** (-a if bj >= 0 else -a / 2) for bj in params.b])
     while True:

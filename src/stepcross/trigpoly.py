@@ -16,7 +16,8 @@ refined grid at most ``MAX_GRID_SIDE`` points per axis (see ``lp_norm`` for
 where that limits the adaptive mean).
 A mean or a maximum adds up over slabs, so a norm holds the values of at
 most ``SLAB_POINTS`` points at once, however large its grid; a grid of at
-most ``SLAB_POINTS`` points is one slab (``_grid_slabs``).
+most ``SLAB_POINTS`` points is one slab.  Slabs are cut along axis 0 where
+they can be, and share one folding of the spectrum (``_grid_slabs``).
 
 ``lp_norms`` gives the same values for several p from one pass over the
 grids.  Each sampled p has one owner: its exact grid, the sup ladder or the
@@ -71,7 +72,7 @@ MAX_GRID_POINTS = 1 << 26
 # the longest axis of a refined grid; exact even-p grids obey MAX_GRID_POINTS only
 MAX_GRID_SIDE = 1 << 13
 # the most points evaluated at once: a larger grid is reduced in slabs
-SLAB_POINTS = 1 << 20
+SLAB_POINTS = 1 << 19
 # 2^0 .. 2^MAX_OCTAVE: |k| has octave sigma when exactly sigma of them are <= |k|
 _OCTAVE_FLOORS = np.left_shift(np.uint64(1), np.arange(MAX_OCTAVE + 1, dtype=np.uint64))
 
@@ -287,19 +288,19 @@ class TrigPolynomial:
         """Values on the uniform grid x_m = 2 pi m / G, componentwise.
 
         Exact at the grid points regardless of aliasing: frequencies are
-        folded mod G.  Only the lines along axis 0 that hold a folded
-        frequency (found with an occupancy mask over axes 1..d-1, no sort)
-        are transformed along it, as the contiguous rows of a compact
-        (lines, G_0) array, and scattered into the zeroed grid; axes d-1 down
-        to 1 follow over the whole grid.  No transform is scaled, so the
-        values are bit-identical to ``np.fft.ifftn(spectrum, axes=(1, ...,
-        d-1, 0), norm="forward")`` of the dense folded spectrum.  Peak memory
+        folded mod G (``_fold``).  Only the lines along axis 0 that hold a
+        folded frequency are transformed along it, as the contiguous rows of
+        a compact (lines, G_0) array, and scattered into the zeroed grid;
+        axes d-1 down to 1 follow over the whole grid (``_transform``).  No
+        transform is scaled, so the values are bit-identical to
+        ``np.fft.ifftn(spectrum, axes=(1, ..., d-1, 0), norm="forward")`` of
+        the dense folded spectrum.  Peak memory
         (``ru_maxrss`` at 2^24 points) is 48 B a point in 1-D: the output
         plus 32 B of scratch that numpy's in-place FFT of one 2^24 line
         allocates.  In 2-D it is 16 B a point for the output plus 16 B times
         the fraction of occupied lines (16.2, 20.0 and 31.9 B measured with
-        1%, 25% and all of the lines occupied); the norms ask for at most
-        ``SLAB_POINTS`` points at a time.
+        1%, 25% and all of the lines occupied); the norms transform at most
+        ``SLAB_POINTS`` points at a time (``_grid_slabs``).
         """
         grid_shape = tuple(check_int(g, "grid side")
                            for g in np.atleast_1d(np.asarray(grid_shape)).tolist())
@@ -312,32 +313,41 @@ class TrigPolynomial:
             raise CapacityError(f"grid of {total} points exceeds the cap {MAX_GRID_POINTS}")
         if self.is_zero:
             return np.zeros(grid_shape, dtype=np.complex128)
-        side = grid_shape[0]
-        folded = [np.mod(self.ks[:, j], grid_shape[j]) for j in range(self.d)]
-        n_lines, row = 1, 0
-        if self.d > 1:
-            # the occupied lines: distinct folded suffixes over axes 1..d-1
-            suffix = np.ravel_multi_index(folded[1:], grid_shape[1:])
-            occupied = np.zeros(total // side, dtype=bool)
-            occupied[suffix] = True
-            lines = np.flatnonzero(occupied)
-            n_lines, row = lines.size, (np.cumsum(occupied) - 1)[suffix]
-            del suffix, occupied
-        flat = row * side + folded[0]
-        del folded, row
-        vals = np.empty((n_lines, side), dtype=np.complex128)
-        vals.real[...] = np.bincount(flat, weights=self.cs.real,
-                                     minlength=vals.size).reshape(vals.shape)
-        vals.imag[...] = np.bincount(flat, weights=self.cs.imag,
-                                     minlength=vals.size).reshape(vals.shape)
-        del flat
-        np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
-        if self.d == 1:
-            return vals.reshape(grid_shape)
-        dense = np.zeros(grid_shape, dtype=np.complex128)
-        dense.reshape(side, -1)[:, lines] = vals.T
-        del vals
-        return np.fft.ifftn(dense, axes=tuple(range(1, self.d)), norm="forward", out=dense)
+        return _transform(_fold(self.ks, grid_shape), self.cs, grid_shape)
+
+
+def _fold(ks, shape):
+    """``ks`` folded onto the grid ``shape``, as (bins, lines): ``lines``, the
+    flat indices over axes 1..d-1 of the lines along axis 0 that hold a
+    frequency (None in 1-D), and ``bins``, each term's real and imaginary
+    float64 slots in the compact complex (lines, G_0) array."""
+    folded = [np.mod(ks[:, j], g) for j, g in enumerate(shape)]
+    lines, row = None, 0
+    if len(shape) > 1:
+        suffix = np.ravel_multi_index(folded[1:], shape[1:])
+        occupied = np.zeros(math.prod(shape[1:]), dtype=bool)
+        occupied[suffix] = True
+        lines, row = np.flatnonzero(occupied), (np.cumsum(occupied) - 1)[suffix]
+    return (2 * (row * shape[0] + folded[0])[:, None] + (0, 1)).ravel(), lines
+
+
+def _transform(fold, cs, shape):
+    """The values on ``shape`` of the terms ``cs`` folded as ``fold``.  One
+    bincount of their interleaved (real, imaginary) pairs is the compact
+    array, allocated after the output: freed above it, its memory goes to
+    the |f|^p temporaries of a norm, not back to the system."""
+    bins, lines = fold
+    side = shape[0]
+    dense = None if lines is None else np.zeros(shape, dtype=np.complex128)
+    n_lines = 1 if lines is None else lines.size
+    vals = np.bincount(bins, weights=cs.view(np.float64), minlength=2 * n_lines * side)
+    vals = vals.view(np.complex128).reshape(n_lines, side)
+    np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
+    if lines is None:
+        return vals.reshape(shape)
+    dense.reshape(side, -1)[:, lines] = vals.T
+    del vals
+    return np.fft.ifftn(dense, axes=tuple(range(1, len(shape))), norm="forward", out=dense)
 
 
 # -- random sampling -----------------------------------------------------
@@ -451,21 +461,24 @@ def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
     slab, ``values[on]`` being the slab's points on ``coarse``, a grid that
     ``grid`` doubles on some axes (``on`` is None without ``coarse`` or when
     the slab holds none: the coarse step on axis a does not divide r).  The
-    grid is cut into S = pow2ceil(points / SLAB_POINTS) slabs, at most G_a,
-    along its longest axis a, the first of equals (a cut along axis 0
-    leaves the lines along it that ``evaluate_grid`` transforms as sparse
-    as on the whole grid): slab r, the indices r mod S there, is
-    f e^{2 pi i r k_a / G_a} on G_a / S points (Cooley and Tukey's decimation
-    in time), phase reduced exactly; S = 1 up to ``SLAB_POINTS`` points."""
+    grid is cut into S = pow2ceil(points / SLAB_POINTS) slabs along axis
+    a = 0, which leaves the lines along it that ``_transform`` prunes as
+    sparse as on the whole grid; only when G_0 < S is it cut into at most
+    G_a slabs along its longest axis a, the first of equals.  Slab r, the
+    indices r mod S on axis a, is f e^{2 pi i r k_a / G_a} on G_a / S
+    points (Cooley and Tukey's decimation in time), the phase reduced
+    exactly per term; every slab shares one folding (``_fold``), and S = 1
+    up to ``SLAB_POINTS`` points."""
     steps = [g // c for g, c in zip(grid, coarse or grid)]
-    a = max(range(len(grid)), key=grid.__getitem__)
-    s = min(grid[a], pow2ceil(-(-math.prod(grid) // SLAB_POINTS)))
+    s = pow2ceil(-(-math.prod(grid) // SLAB_POINTS))
+    a = 0 if grid[0] >= s else max(range(len(grid)), key=grid.__getitem__)
+    s = min(grid[a], s)
     on = tuple(slice(None, None, max(1, k // s) if j == a else k) for j, k in enumerate(steps))
+    shape = grid[:a] + (grid[a] // s,) + grid[a + 1:]
+    fold, ka = _fold(f.ks, shape), np.mod(f.ks[:, a], grid[a])
     for r in range(s):
-        twisted = f if r == 0 else TrigPolynomial._canonical(
-            f.ks, f.cs * np.exp(2j * np.pi / grid[a] * (r * np.mod(f.ks[:, a], grid[a]) % grid[a])))
-        yield (twisted.evaluate_grid(grid[:a] + (grid[a] // s,) + grid[a + 1:]),
-               None if coarse is None or r % steps[a] else on)
+        cs = f.cs if r == 0 else f.cs * np.exp(2j * np.pi / grid[a] * (r * ka % grid[a]))
+        yield _transform(fold, cs, shape), None if coarse is None or r % steps[a] else on
 
 
 def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0):
@@ -531,7 +544,7 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     integer p when the grid ``pow2ceil((p/2) w_j + 1)``, finer than the
     degree of |f|^p, holds at most ``MAX_GRID_POINTS`` points.  Such a grid
     can be large: ``1 + e^{i 2^24 x}`` at p = 4 is exact on 2^26 points,
-    reduced in 64 slabs of 2^20 (see ``_grid_slabs``).  Other p start at the
+    reduced in 128 slabs of 2^19 (see ``_grid_slabs``).  Other p start at the
     Nyquist grid ``pow2ceil(w_j + 1)`` of |f|^2 (at most ``MAX_GRID_SIDE //
     4`` per axis) and double each axis within the caps until the relative
     change is below ``rel_tol``: a heuristic stop rule, so the result is an

@@ -709,7 +709,7 @@ class TestSlabs:
         assert got == pytest.approx(whole, rel=1e-12)
 
     def test_no_evaluation_past_the_slab_size(self, monkeypatch):
-        # every evaluate_grid call gets at most SLAB_POINTS points, unless the
+        # every slab transformed holds at most SLAB_POINTS points, unless the
         # grid's longest axis is shorter than points / SLAB_POINTS: then each
         # point of that axis is a slab, of side 1 there and more points
         sizes, shapes = [], []
@@ -720,9 +720,13 @@ class TestSlabs:
                  (TrigPolynomial(one_sided, [1.0, 0.3, -0.7j]), 1)]
         quad = QuadratureSpec(rel_tol=1e-3)
         whole = [lp_norm(f, p, quad) for f, p in cases]
-        evaluate_grid = TrigPolynomial.evaluate_grid
-        monkeypatch.setattr(TrigPolynomial, "evaluate_grid",
-                            lambda f, shape: sizes.append(tuple(shape)) or evaluate_grid(f, shape))
+        transform = trigpoly._transform
+
+        def recorded(fold, cs, shape):
+            sizes.append(shape)
+            return transform(fold, cs, shape)
+
+        monkeypatch.setattr(trigpoly, "_transform", recorded)
         monkeypatch.setattr(trigpoly, "SLAB_POINTS", 1 << 8)
         record_grids(monkeypatch, shapes)
         assert [lp_norm(f, p, quad) for f, p in cases] == pytest.approx(whole, rel=1e-12)
@@ -734,15 +738,16 @@ class TestSlabs:
         assert (1, 32, 16) in capped
 
     def test_slabs_are_the_residue_classes_of_the_grid(self, monkeypatch):
-        # the values of slab r are the points with index r mod S on the
-        # longest axis (the first of equals), and ``on`` picks the slab's
-        # points on the coarse grid
+        # the values of slab r are the points with index r mod S on axis 0,
+        # or on the longest axis (the first of equals) when G_0 < S, and
+        # ``on`` picks the slab's points on the coarse grid
         monkeypatch.setattr(trigpoly, "SLAB_POINTS", 1 << 6)
         rng = np.random.default_rng(5)
         f = TrigPolynomial(rng.integers(-40, 40, size=(9, 2)),
                            rng.standard_normal(9) + 1j * rng.standard_normal(9))
-        for grid, coarse, slabs, a in [((32, 16), (16, 8), 8, 0), ((16, 32), (16, 16), 8, 1),
-                                       ((4, 64), (4, 32), 4, 1), ((16, 16), (8, 16), 4, 0)]:
+        for grid, coarse, slabs, a in [((32, 16), (16, 8), 8, 0), ((16, 32), (16, 16), 8, 0),
+                                       ((4, 64), (4, 32), 4, 0), ((2, 128), (2, 64), 4, 1),
+                                       ((16, 16), (8, 16), 4, 0)]:
             whole = f.evaluate_grid(grid)
             on_coarse = whole[::grid[0] // coarse[0], ::grid[1] // coarse[1]]
             seen = []
@@ -754,6 +759,40 @@ class TestSlabs:
             got = np.sort_complex(np.concatenate(seen))
             np.testing.assert_allclose(got, np.sort_complex(on_coarse.ravel()), atol=1e-10)
             assert r + 1 == slabs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_slabs_share_one_folding(self, data):
+        # each slab holds the whole grid's values at its residues; the cut is
+        # along axis 0 whenever G_0 >= S; a slab exceeds SLAB_POINTS points
+        # only when the longest axis is shorter than S; and the slabs folded
+        # once are bit for bit the twisted slab polynomials' evaluate_grid
+        d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+        grid = tuple(1 << data.draw(st.integers(0, 13 // d + 1), label=f"log2 G{j}")
+                     for j in range(d))
+        slab = 1 << data.draw(st.integers(6, 10), label="log2 SLAB_POINTS")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        n = data.draw(st.integers(1, 12), label="terms")
+        f = TrigPolynomial(rng.integers(-3 * max(grid), 3 * max(grid) + 1, size=(n, d)),
+                           rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        whole = f.evaluate_grid(grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trigpoly, "SLAB_POINTS", slab)
+            slabs = [vals for vals, _ in trigpoly._grid_slabs(f, grid)]
+        s, wanted = len(slabs), pow2ceil(-(-math.prod(grid) // slab))
+        assert s == min(max(grid), wanted)
+        cut = [j for j in range(d) if slabs[0].shape[j] != grid[j]]
+        assert cut == ([] if s == 1 else [0] if grid[0] >= wanted else
+                       [max(range(d), key=grid.__getitem__)])
+        a = cut[0] if cut else 0
+        if slabs[0].size > slab:
+            assert max(grid) < wanted and slabs[0].shape[a] == 1
+        for r, vals in enumerate(slabs):
+            want = np.take(whole, range(r, grid[a], s), axis=a)
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12 * np.abs(whole).max())
+            twist = np.exp(2j * np.pi / grid[a] * (r * np.mod(f.ks[:, a], grid[a]) % grid[a]))
+            twisted = TrigPolynomial._canonical(f.ks, f.cs * twist) if r else f
+            assert np.array_equal(vals, twisted.evaluate_grid(vals.shape))
 
     @pytest.mark.parametrize("slab_points", [1 << 20, 1 << 6], ids=["whole", "slabbed"])
     @pytest.mark.parametrize("grid, coarse", [
