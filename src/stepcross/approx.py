@@ -18,9 +18,10 @@ import numpy as np
 from .besov import BesovParams, besov_norm, normalize_to_ball
 from .errors import ParameterError, UnsupportedRegimeError, check_exponent, check_int, check_real
 from .extremal import WITNESS_BUILDERS, WitnessConfig
-from .indexsets import _check_n, in_cross, q_set, q_size, rho, theta
+from .indexsets import SpectrumSet, _check_n, in_cross, q_set, q_size, theta
 from .majorant import MajorantParams, omega_dyadic
-from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, random_in_spectrum
+from .trigpoly import (QuadratureSpec, TrigPolynomial, _draw, _lex_order, _octaves, lp_norm,
+                       random_in_spectrum)
 
 __all__ = [
     "RateRegime",
@@ -157,17 +158,23 @@ class ExperimentRecord:
 
 def _shell_sample(omega: MajorantParams, bp: BesovParams, n: float,
                   rng: np.random.Generator, quad) -> TrigPolynomial:
-    # sum over shell boxes of omega(2^{-s}) * (random unit-p-norm block)
+    """The sum over the boxes s of theta(N) of omega(2^{-s}) times a random
+    block on rho(s) of unit L_p norm (one of norm 0 dropped), bit for bit,
+    built from one ``materialize`` of the union: one stable sort of its
+    octaves lists each box's rows as ``rho(s)`` does, each box's draws are
+    scaled in place, and the octaves ride along (see ``TrigPolynomial``)."""
     fam = theta(omega, n)
     if len(fam) == 0:
         raise ParameterError(f"shell is empty at N={n}")
-    parts = []
-    for s in fam:
-        block = random_in_spectrum(rho(s), seed=rng, law="gaussian")
-        norm = lp_norm(block, bp.p, quad)
+    ks = SpectrumSet(omega.d, fam.members).materialize()
+    octs, cs = _octaves(ks), np.zeros(len(ks), dtype=np.complex128)
+    ends = np.cumsum([1 << sum(s) for s in fam])
+    for s, rows in zip(fam, np.split(_lex_order(octs), ends[:-1])):
+        draws = _draw(rng, len(rows), "gaussian")
+        norm = lp_norm(TrigPolynomial._canonical(ks.take(rows, axis=0), draws), bp.p, quad)
         if norm != 0.0:
-            parts.append(block * (omega_dyadic(omega, s) / norm))
-    return TrigPolynomial.sum_of(omega.d, parts)
+            cs[rows] = draws * complex(omega_dyadic(omega, s) / norm)
+    return TrigPolynomial._canonical(ks, cs, octs)
 
 
 def _validate_family(family: str, regime: RateRegime, bp: BesovParams):

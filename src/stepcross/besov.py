@@ -34,7 +34,7 @@ from .kernels import band_multiplier
 from .majorant import MajorantParams, omega_dyadic
 # lp_norm stays a name of this module: bench/tests checks that the bench
 # tracer wraps it here, as in the other modules that bind it
-from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, lp_norms  # noqa: F401
+from .trigpoly import QuadratureSpec, TrigPolynomial, _lex_order, lp_norm, lp_norms  # noqa: F401
 
 __all__ = [
     "BesovParams",
@@ -70,7 +70,7 @@ def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
         k = tuple(int(v) for v in f.ks[min(zeros)])
         raise ParameterError(
             f"frequency {k} has a zero coordinate and belongs to no dyadic octave")
-    order = np.lexsort(octs.T[::-1])
+    order = _lex_order(octs)
     # a group starts wherever some sorted column changes
     cols = [octs[:, j].take(order) for j in range(f.d)]
     new = cols[0][1:] != cols[0][:-1]

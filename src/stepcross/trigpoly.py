@@ -104,22 +104,50 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return less
 
 
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """``np.lexsort``'s stable row-lex order of (n, d) int64 rows: a stable
+    argsort of the rows packed in mixed radix (each column minus its least
+    value, in radix its span) when the spans multiply to less than 2^62."""
+    lows = [int(col.min()) for col in rows.T]
+    spans = [int(col.max()) - lo + 1 for col, lo in zip(rows.T, lows)]
+    if math.prod(spans) >= 1 << 62:
+        return np.lexsort(rows.T[::-1])
+    key = rows[:, 0] - lows[0]
+    for col, lo, span in zip(rows.T[1:], lows[1:], spans[1:]):
+        key *= span
+        key += col - lo
+    # numpy's stable sort of 16-bit keys is a radix sort
+    return np.argsort(key.astype(np.uint16) if math.prod(spans) <= 1 << 16 else key, kind="stable")
+
+
+def _octaves(ks: np.ndarray) -> np.ndarray:
+    """The octave of every entry of ``ks`` (see ``TrigPolynomial.octaves``)."""
+    # |-2^63| wraps to -2^63 in int64 and reads 2^63 as uint64
+    return np.searchsorted(_OCTAVE_FLOORS, np.abs(ks).view(np.uint64), side="right")
+
+
 class TrigPolynomial:
     """Immutable container: lex-sorted integer frequencies + coefficients.
 
     Canonical invariant: rows of ``ks`` strictly lex-increasing, no exact-zero
     coefficient, every coefficient finite, read-only arrays.  The constructor
-    checks the order of neighbouring rows first and sorts and merges
-    duplicates only when some pair is out of order; rows already in order
-    are copied, so the caller's arrays are never frozen.  Zeros are pruned
-    either way.  Derived polynomials that keep the rows in order (sign,
-    scaling, translation, restriction, blocks, band pieces) only prune.
-    Non-finite coefficients or scalars raise ``ParameterError``.  Rows are
-    gathered with ``take``/``compress`` and reduced a column at a time, as
-    numpy's fancy indexing and short-axis reductions take a slow path.
+    checks the order of neighbouring rows first, sorts (``_lex_order``) only
+    when some pair is out of order and merges only sorted rows that repeat;
+    rows already in order are copied, so the caller's arrays are never
+    frozen.  Zeros are pruned either way.  Derived polynomials that keep the
+    rows in order (sign, scaling, translation, restriction, blocks, band
+    pieces) only prune.  Non-finite coefficients or scalars raise
+    ``ParameterError``.  Rows are gathered with ``take``/``compress`` and
+    reduced a column at a time, as numpy's fancy indexing and short-axis
+    reductions take a slow path.
+
+    Code that has the ``octaves()`` of the rows (the shell rate sample) may
+    hand them to ``_canonical``; sign, scaling, translation and an all-true
+    ``restrict`` (f itself) keep them, read-only, and pruning drops them.
+    Nothing is cached lazily: each polynomial of a pool would hold n x d int64 more.
     """
 
-    __slots__ = ("ks", "cs")
+    __slots__ = ("ks", "cs", "_octs")
 
     def __init__(self, ks, cs):
         ks = _frequencies(ks)
@@ -138,29 +166,30 @@ class TrigPolynomial:
         if np.all(_lex_less(ks[:-1], ks[1:])):
             ks, cs = ks.copy(), cs.copy()
         else:
-            order = np.lexsort(ks.T[::-1])
+            order = _lex_order(ks)
             ks, cs = ks.take(order, axis=0), cs.take(order)
             starts = np.flatnonzero(np.r_[True, _lex_less(ks[:-1], ks[1:])])
-            ks, cs = ks.take(starts, axis=0), np.add.reduceat(cs, starts)
+            if len(starts) < len(ks):
+                ks, cs = ks.take(starts, axis=0), np.add.reduceat(cs, starts)
         self._prune_and_freeze(ks, cs)
 
-    def _prune_and_freeze(self, ks, cs):
+    def _prune_and_freeze(self, ks, cs, octs=None):
         if not np.all(np.isfinite(cs)):
             raise ParameterError("coefficients must be finite")
         keep = cs != 0
         if not np.all(keep):
-            ks, cs = ks.compress(keep, axis=0), cs.compress(keep)
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "cs", cs)
-        ks.setflags(write=False)
-        cs.setflags(write=False)
+            ks, cs, octs = ks.compress(keep, axis=0), cs.compress(keep), None
+        for name, arr in (("ks", ks), ("cs", cs), ("_octs", octs)):
+            object.__setattr__(self, name, arr)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @classmethod
-    def _canonical(cls, ks, cs) -> "TrigPolynomial":
-        """Trusted constructor for canonical rows (int64, complex128) that may
-        hold exact zeros: prunes them, sorts and merges nothing."""
+    def _canonical(cls, ks, cs, octs=None) -> "TrigPolynomial":
+        """Trusted constructor for canonical rows (int64, complex128) and their
+        optional ``octs``: prunes exact zeros (and then octs), sorts nothing."""
         out = object.__new__(cls)
-        out._prune_and_freeze(ks, cs)
+        out._prune_and_freeze(ks, cs, octs)
         return out
 
     def __setattr__(self, name, value):
@@ -212,10 +241,8 @@ class TrigPolynomial:
     def octaves(self) -> np.ndarray:
         """Per-coefficient octave indices: sigma_j = bit length of |k_j|
         (zero coordinates give sigma_j = 0), exact in integers over the
-        whole int64 range."""
-        # |-2^63| wraps to -2^63 in int64 and reads 2^63 as uint64
-        mag = np.abs(self.ks).view(np.uint64)
-        return np.searchsorted(_OCTAVE_FLOORS, mag, side="right")
+        whole int64 range; the carried array if there is one."""
+        return _octaves(self.ks) if self._octs is None else self._octs
 
     # -- algebra ----------------------------------------------------------
 
@@ -234,7 +261,7 @@ class TrigPolynomial:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return TrigPolynomial._canonical(self.ks, -self.cs)
+        return TrigPolynomial._canonical(self.ks, -self.cs, self._octs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPolynomial):
@@ -242,19 +269,21 @@ class TrigPolynomial:
         scalar = complex(scalar)
         if not cmath.isfinite(scalar):
             raise ParameterError(f"scalar must be finite, got {scalar}")
-        return TrigPolynomial._canonical(self.ks, self.cs * scalar)
+        return TrigPolynomial._canonical(self.ks, self.cs * scalar, self._octs)
 
     __rmul__ = __mul__
 
     def translate(self, x0) -> "TrigPolynomial":
         """The shifted function x -> f(x - x0)."""
-        x0 = check_point(x0, "shift", self.d)
-        return TrigPolynomial._canonical(self.ks, self.cs * np.exp(-1j * (self.ks @ x0)))
+        phase = np.exp(-1j * (self.ks @ check_point(x0, "shift", self.d)))
+        return TrigPolynomial._canonical(self.ks, self.cs * phase, self._octs)
 
     def restrict(self, mask) -> "TrigPolynomial":
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.size != self.n_terms:
             raise ParameterError("mask length must equal the term count")
+        if mask.all():
+            return self
         return TrigPolynomial._canonical(self.ks.compress(mask, axis=0), self.cs.compress(mask))
 
     # -- evaluation -------------------------------------------------------
@@ -371,14 +400,18 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"unusable seed {seed!r}: {exc}") from exc
-    n = len(ks)  # rows, or the frequencies of a flat 1-D spectrum
+    cs = _draw(rng, len(ks), law)  # rows, or the frequencies of a flat 1-D spectrum
+    # materialize's rows are fresh and strictly lex-increasing: trusted
+    return (TrigPolynomial._canonical if ks is not spectrum else TrigPolynomial)(ks, cs)
+
+
+def _draw(rng: np.random.Generator, n: int, law: str) -> np.ndarray:
+    """``n`` coefficients of the ``law`` of ``random_in_spectrum`` from ``rng``."""
     if law == "gaussian":
-        cs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    elif law == "unit_complex":
-        cs = np.exp(2j * np.pi * rng.random(n))
-    else:
-        raise ParameterError(f"unknown coefficient law {law!r}")
-    return TrigPolynomial(ks, cs)
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    if law == "unit_complex":
+        return np.exp(2j * np.pi * rng.random(n))
+    raise ParameterError(f"unknown coefficient law {law!r}")
 
 
 # -- Lp norms ------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from stepcross.besov import _band_pieces, dyadic_blocks
 from stepcross.kernels import band_multiplier, vp_coefficient
-from stepcross.trigpoly import TrigPolynomial
+from stepcross.trigpoly import TrigPolynomial, _lex_order
 
 EDGE = -2 ** 63
 
@@ -142,3 +142,17 @@ def test_band_pieces_prune_rows_the_multiplier_zeroes():
     pieces = dict(_band_pieces(f))
     assert pieces[(2,)].ks.ravel().tolist() == [3, 4]
     assert band_multiplier((2, 1), [[EDGE, 1]]).tolist() == [0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.sampled_from((2, 40, 255, 256, 257, 2 ** 31, 2 ** 62)), st.data())
+def test_lex_order_matches_lexsort(d, span, data):
+    # spans around the 16-bit radix path and the 2^62 packing limit, with
+    # repeated rows, so that the stability of the order shows
+    lo = data.draw(st.integers(-2 ** 63, 2 ** 63 - span), label="lo")
+    pool = data.draw(st.lists(st.lists(st.integers(lo, lo + span - 1), min_size=d, max_size=d),
+                              min_size=1, max_size=6), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=40),
+                      label="picks")
+    rows = np.array([pool[i] for i in picks], dtype=np.int64).reshape(-1, d)
+    assert np.array_equal(_lex_order(rows), np.lexsort(rows.T[::-1]))
