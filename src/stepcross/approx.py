@@ -18,9 +18,9 @@ import numpy as np
 from .besov import BesovParams, besov_norm, normalize_to_ball
 from .errors import ParameterError, UnsupportedRegimeError, check_exponent, check_int, check_real
 from .extremal import WITNESS_BUILDERS, WitnessConfig
-from .indexsets import SpectrumSet, _check_n, in_cross, q_set, q_size, theta
-from .majorant import MajorantParams, omega_dyadic
-from .trigpoly import (QuadratureSpec, TrigPolynomial, _draw, _lex_order, _octaves, lp_norm,
+from .indexsets import SpectrumSet, _check_n, _members, _shell, in_cross, q_set, q_size
+from .majorant import MajorantParams, _exp2
+from .trigpoly import (QuadratureSpec, TrigPolynomial, _box_rows, _draw, _octaves, lp_norm,
                        random_in_spectrum)
 
 __all__ = [
@@ -108,24 +108,28 @@ def _check_count(m) -> int:
 
 
 def _cross_mask(f: TrigPolynomial, omega: MajorantParams, n: float) -> np.ndarray:
-    """Per-coefficient membership of f's frequencies in the cross Q(N)."""
+    """Per-coefficient membership of f's frequencies in the cross Q(N), decided
+    once per octave box of ``f.box_rows()`` and scattered to the box's rows."""
     n = _check_n(n)
     if f.is_zero:
         return np.zeros(0, dtype=bool)
     if f.d != omega.d:
         raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
-    octs = f.octaves()
-    ok = np.logical_and.reduce([col >= 1 for col in octs.T])
-    ok[ok] = in_cross(omega, octs.compress(ok, axis=0), n)
-    return ok
+    boxes = f.box_rows()
+    keys = np.array(list(boxes))
+    # octaves are >= 0, so a key without a zero coordinate is all >= 1
+    inside = in_cross(omega, keys, n) & keys.all(axis=1)
+    mask = np.zeros(f.n_terms, dtype=bool)
+    mask[np.concatenate(list(boxes.values()))] = inside.repeat([len(r) for r in boxes.values()])
+    return mask
 
 
 def project_q(f: TrigPolynomial, omega: MajorantParams, n: float) -> TrigPolynomial:
     """Keep exactly the coefficients whose frequencies lie in the cross Q(N).
 
-    Membership is decided per coefficient by ``in_cross`` on its octave
-    vector, so no enumeration of Q(N) takes place.  Frequencies with a zero
-    coordinate belong to no octave box and are always dropped.
+    Membership is decided per octave box by ``in_cross``, so no enumeration
+    of Q(N) takes place.  Frequencies with a zero coordinate belong to no
+    octave box and are always dropped.
     """
     return f.restrict(_cross_mask(f, omega, n))
 
@@ -160,21 +164,22 @@ def _shell_sample(omega: MajorantParams, bp: BesovParams, n: float,
                   rng: np.random.Generator, quad) -> TrigPolynomial:
     """The sum over the boxes s of theta(N) of omega(2^{-s}) times a random
     block on rho(s) of unit L_p norm (one of norm 0 dropped), bit for bit,
-    built from one ``materialize`` of the union: one stable sort of its
-    octaves lists each box's rows as ``rho(s)`` does, each box's draws are
-    scaled in place, and the octaves ride along (see ``TrigPolynomial``)."""
-    fam = theta(omega, n)
-    if len(fam) == 0:
+    built from one ``materialize`` of the union: the boxes and their weights
+    come from ``indexsets._shell``, the union's ``box_rows()`` split lists
+    each box's rows as ``rho(s)`` does, each box's draws are scaled in place,
+    and the split rides along (see ``TrigPolynomial``)."""
+    boxes, log2w = _shell(omega, n)
+    if len(boxes) == 0:
         raise ParameterError(f"shell is empty at N={n}")
-    ks = SpectrumSet(omega.d, fam.members).materialize()
-    octs, cs = _octaves(ks), np.zeros(len(ks), dtype=np.complex128)
-    ends = np.cumsum([1 << sum(s) for s in fam])
-    for s, rows in zip(fam, np.split(_lex_order(octs), ends[:-1])):
+    ks = SpectrumSet(omega.d, _members(boxes)).materialize()
+    split, cs = _box_rows(_octaves(ks)), np.zeros(len(ks), dtype=np.complex128)
+    # the split's keys and the shell's rows are the same boxes in lex order
+    for rows, weight in zip(split.values(), _exp2(-log2w).tolist()):
         draws = _draw(rng, len(rows), "gaussian")
         norm = lp_norm(TrigPolynomial._canonical(ks.take(rows, axis=0), draws), bp.p, quad)
         if norm != 0.0:
-            cs[rows] = draws * complex(omega_dyadic(omega, s) / norm)
-    return TrigPolynomial._canonical(ks, cs, octs)
+            cs[rows] = draws * complex(weight / norm)
+    return TrigPolynomial._canonical(ks, cs, split)
 
 
 def _validate_family(family: str, regime: RateRegime, bp: BesovParams):

@@ -12,10 +12,13 @@ expression at the integrability endpoints; the dispatcher uses blocks for
 (they are equivalent, not equal); each is deterministic.  One engine serves
 both forms, in the norms and in the battery's equivalence check alike:
 ``besov_terms`` computes the weighted terms for one or several p and
-``combine`` sums them.  It sorts the coefficients by octave once, gathers
-each band piece from the at most 2^d blocks it touches, builds each piece
-with one constructor (its rows times the band multiplier, pruned once),
-and takes each piece's norms for every p from one grid pass.
+``combine`` sums them.  It reads the rows of each octave box from the
+polynomial's one box split (``TrigPolynomial.box_rows``), gathers each band
+piece from the at most 2^d blocks it touches, builds each piece with one
+constructor (its rows times the band multiplier, pruned once), takes each
+piece's norms for every p from one grid pass, and weighs all its pieces
+with one ``majorant.log2_weight`` call that leaves log2 space through the
+majorant's one range rule.
 
 Functions with a frequency on a coordinate hyperplane (some k_j = 0) carry
 no octave index and are rejected.
@@ -31,10 +34,10 @@ import numpy as np
 
 from .errors import ParameterError, check_exponent, check_exponents
 from .kernels import band_multiplier
-from .majorant import MajorantParams, omega_dyadic
+from .majorant import MajorantParams, _exp2, log2_weight
 # lp_norm stays a name of this module: bench/tests checks that the bench
 # tracer wraps it here, as in the other modules that bind it
-from .trigpoly import QuadratureSpec, TrigPolynomial, _lex_order, lp_norm, lp_norms  # noqa: F401
+from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, lp_norms  # noqa: F401
 
 __all__ = [
     "BesovParams",
@@ -60,25 +63,14 @@ class BesovParams:
         check_exponent(self.theta, "theta")
 
 
-def _octave_rows(f: TrigPolynomial) -> dict[tuple[int, ...], np.ndarray]:
-    """Increasing row indices of f per occupied octave, keys in lex order."""
-    if f.is_zero:
-        return {}
-    octs = f.octaves()
-    zeros = [int(octs[:, j].argmin()) for j in range(f.d) if not octs[:, j].all()]
+def _octave_rows(f: TrigPolynomial):
+    """``f.box_rows()``, refused when a frequency has a zero coordinate."""
+    boxes = f.box_rows()
+    zeros = [int(rows[0]) for s, rows in boxes.items() if 0 in s]
     if zeros:
-        k = tuple(int(v) for v in f.ks[min(zeros)])
-        raise ParameterError(
-            f"frequency {k} has a zero coordinate and belongs to no dyadic octave")
-    order = _lex_order(octs)
-    # a group starts wherever some sorted column changes
-    cols = [octs[:, j].take(order) for j in range(f.d)]
-    new = cols[0][1:] != cols[0][:-1]
-    for col in cols[1:]:
-        new |= col[1:] != col[:-1]
-    starts = np.flatnonzero(np.r_[True, new])
-    keys = zip(*(col[starts].tolist() for col in cols))
-    return dict(zip(keys, np.split(order, starts[1:])))
+        raise ParameterError(f"frequency {tuple(f.ks[min(zeros)].tolist())} has a zero "
+                             "coordinate and belongs to no dyadic octave")
+    return boxes
 
 
 def dyadic_blocks(f: TrigPolynomial) -> dict[tuple[int, ...], TrigPolynomial]:
@@ -114,13 +106,13 @@ def besov_terms(f: TrigPolynomial, omega: MajorantParams, ps, form: str,
     if form not in ("blocks", "bands"):
         raise ParameterError(f"unknown norm form {form!r}; choose 'blocks' or 'bands'")
     ps = check_exponents(ps, "p")
-    indices, terms = [], tuple([] for _ in ps)
+    indices, norms = [], []
     for s, piece in dyadic_blocks(f).items() if form == "blocks" else _band_pieces(f):
         indices.append(s)
-        weight = omega_dyadic(omega, s)
-        for column, norm in zip(terms, lp_norms(piece, ps, quad)):
-            column.append(norm / weight)
-    return indices, terms
+        norms.append(lp_norms(piece, ps, quad))
+    weights = _exp2(-log2_weight(omega, np.reshape(indices, (-1, f.d))))
+    terms = np.reshape(norms, (len(indices), len(ps))) / weights[:, None]
+    return indices, tuple(column.tolist() for column in terms.T)
 
 
 def combine(terms, theta: float) -> float:

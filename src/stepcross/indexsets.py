@@ -289,7 +289,7 @@ def chi(params: MajorantParams, n: float) -> IndexFamily:
 
 def _shell(params: MajorantParams, n: float) -> tuple[np.ndarray, np.ndarray]:
     """The rows of chi(2^l N) outside chi(N) and their ``log2_weight``."""
-    rows, log2w = _cross(params, n * _exp2(float(params.l)))
+    rows, log2w = _cross(params, n * float(_exp2(float(params.l))))
     out = ~_inside(log2w, n)
     return rows.compress(out, axis=0), log2w.compress(out)
 

@@ -93,13 +93,13 @@ def _axis_log2_weight(r: float, b, sigma) -> np.ndarray:
 
 def _exp2(y):
     """2^y for a float or an array of exponents, the one way a weight leaves
-    log2 space.  A value that underflows to 0 (y <= -1075) would vanish
-    silently and one that overflows (y >= 1024) is inf, so either raises
-    CapacityError."""
-    if isinstance(y, float):
-        if -1075 < y < 1024:
-            return 2.0 ** y
-    elif -1075 < y.min(initial=0.0) and y.max(initial=0.0) < 1024:
+    log2 space: one ``np.exp2`` call for both, so a box weight has the same
+    bits whether it leaves alone or in an array (``2.0 ** y`` differs from
+    it in the last bit for some y); a float gives a numpy float64.  A value
+    that underflows to 0 (y <= -1075) would vanish silently and one that
+    overflows (y >= 1024) is inf, so either raises CapacityError."""
+    lo, hi = (y, y) if isinstance(y, float) else (y.min(initial=0.0), y.max(initial=0.0))
+    if -1075 < lo and hi < 1024:
         return np.exp2(y)
     raise CapacityError("a weight term 2^y underflows to 0 or overflows the float range")
 
@@ -116,7 +116,7 @@ def omega_eval(params: MajorantParams, t) -> float:
         raise ParameterError("majorant argument coordinates must be >= 0")
     if np.any(t == 0):
         return 0.0
-    return _exp2(-float(_axis_log2_weight(params.r, params.b, -np.log2(t)).sum()))
+    return float(_exp2(-float(_axis_log2_weight(params.r, params.b, -np.log2(t)).sum())))
 
 
 def check_box_index(s, d: int | None = None) -> tuple[int, ...]:
@@ -140,7 +140,7 @@ def check_box_index(s, d: int | None = None) -> tuple[int, ...]:
 def omega_dyadic(params: MajorantParams, s) -> float:
     """omega at the dyadic point 2^{-s}: prod_j 2^{-r s_j} s_j^{-b_j}.  A
     value outside the float range raises CapacityError."""
-    return _exp2(log2_omega_dyadic(params, s))
+    return float(_exp2(log2_omega_dyadic(params, s)))
 
 
 def log2_omega_dyadic(params: MajorantParams, s) -> float:

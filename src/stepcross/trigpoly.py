@@ -47,6 +47,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,6 +127,23 @@ def _octaves(ks: np.ndarray) -> np.ndarray:
     return np.searchsorted(_OCTAVE_FLOORS, np.abs(ks).view(np.uint64), side="right")
 
 
+def _box_rows(octs: np.ndarray) -> MappingProxyType:
+    """The one grouping of rows into octave boxes: for each distinct row s of
+    a nonempty (n, d) octave array, the increasing indices of the rows equal
+    to s, keys in lex order.  The mapping is read-only; its index arrays are
+    not to be written, but stay writeable because ``take`` copies an index
+    array that is not."""
+    order = _lex_order(octs)
+    # a group starts wherever some sorted column changes
+    cols = [col.take(order) for col in octs.T]
+    new = cols[0][1:] != cols[0][:-1]
+    for col in cols[1:]:
+        new |= col[1:] != col[:-1]
+    starts = np.flatnonzero(np.r_[True, new])
+    keys = zip(*(col[starts].tolist() for col in cols))
+    return MappingProxyType(dict(zip(keys, np.split(order, starts[1:]))))
+
+
 class TrigPolynomial:
     """Immutable container: lex-sorted integer frequencies + coefficients.
 
@@ -141,13 +159,14 @@ class TrigPolynomial:
     reduced a column at a time, as numpy's fancy indexing and short-axis
     reductions take a slow path.
 
-    Code that has the ``octaves()`` of the rows (the shell rate sample) may
-    hand them to ``_canonical``; sign, scaling, translation and an all-true
-    ``restrict`` (f itself) keep them, read-only, and pruning drops them.
-    Nothing is cached lazily: each polynomial of a pool would hold n x d int64 more.
+    ``box_rows()`` groups the rows by octave box.  Code that has that split
+    already (the shell rate sample) may hand it to ``_canonical``; sign,
+    scaling, translation and an all-true ``restrict`` (f itself) keep the
+    same read-only object, and pruning drops it.  Nothing is cached lazily:
+    each polynomial of a pool would hold n more int64.
     """
 
-    __slots__ = ("ks", "cs", "_octs")
+    __slots__ = ("ks", "cs", "_boxes")
 
     def __init__(self, ks, cs):
         ks = _frequencies(ks)
@@ -173,23 +192,24 @@ class TrigPolynomial:
                 ks, cs = ks.take(starts, axis=0), np.add.reduceat(cs, starts)
         self._prune_and_freeze(ks, cs)
 
-    def _prune_and_freeze(self, ks, cs, octs=None):
+    def _prune_and_freeze(self, ks, cs, boxes=None):
         if not np.all(np.isfinite(cs)):
             raise ParameterError("coefficients must be finite")
         keep = cs != 0
         if not np.all(keep):
-            ks, cs, octs = ks.compress(keep, axis=0), cs.compress(keep), None
-        for name, arr in (("ks", ks), ("cs", cs), ("_octs", octs)):
-            object.__setattr__(self, name, arr)
-            if arr is not None:
-                arr.setflags(write=False)
+            ks, cs, boxes = ks.compress(keep, axis=0), cs.compress(keep), None
+        ks.setflags(write=False)
+        cs.setflags(write=False)
+        for name, value in (("ks", ks), ("cs", cs), ("_boxes", boxes)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _canonical(cls, ks, cs, octs=None) -> "TrigPolynomial":
-        """Trusted constructor for canonical rows (int64, complex128) and their
-        optional ``octs``: prunes exact zeros (and then octs), sorts nothing."""
+    def _canonical(cls, ks, cs, boxes=None) -> "TrigPolynomial":
+        """Trusted constructor for canonical rows (int64, complex128) and
+        their optional ``_box_rows`` split: prunes exact zeros (and then the
+        split), sorts nothing."""
         out = object.__new__(cls)
-        out._prune_and_freeze(ks, cs, octs)
+        out._prune_and_freeze(ks, cs, boxes)
         return out
 
     def __setattr__(self, name, value):
@@ -241,8 +261,16 @@ class TrigPolynomial:
     def octaves(self) -> np.ndarray:
         """Per-coefficient octave indices: sigma_j = bit length of |k_j|
         (zero coordinates give sigma_j = 0), exact in integers over the
-        whole int64 range; the carried array if there is one."""
-        return _octaves(self.ks) if self._octs is None else self._octs
+        whole int64 range."""
+        return _octaves(self.ks)
+
+    def box_rows(self) -> MappingProxyType:
+        """The increasing row indices of each occupied octave box, keyed by
+        the box's ``octaves()`` row in lex order (``_box_rows``); the carried
+        split if there is one."""
+        if self._boxes is not None:
+            return self._boxes
+        return _box_rows(self.octaves()) if self.n_terms else MappingProxyType({})
 
     # -- algebra ----------------------------------------------------------
 
@@ -261,7 +289,7 @@ class TrigPolynomial:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return TrigPolynomial._canonical(self.ks, -self.cs, self._octs)
+        return TrigPolynomial._canonical(self.ks, -self.cs, self._boxes)
 
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPolynomial):
@@ -269,17 +297,21 @@ class TrigPolynomial:
         scalar = complex(scalar)
         if not cmath.isfinite(scalar):
             raise ParameterError(f"scalar must be finite, got {scalar}")
-        return TrigPolynomial._canonical(self.ks, self.cs * scalar, self._octs)
+        return TrigPolynomial._canonical(self.ks, self.cs * scalar, self._boxes)
 
     __rmul__ = __mul__
 
     def translate(self, x0) -> "TrigPolynomial":
         """The shifted function x -> f(x - x0)."""
         phase = np.exp(-1j * (self.ks @ check_point(x0, "shift", self.d)))
-        return TrigPolynomial._canonical(self.ks, self.cs * phase, self._octs)
+        return TrigPolynomial._canonical(self.ks, self.cs * phase, self._boxes)
 
     def restrict(self, mask) -> "TrigPolynomial":
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        """The terms where a boolean ``mask`` (one entry per term) is true;
+        a mask of any other dtype raises ParameterError."""
+        mask = np.asarray(mask).reshape(-1)
+        if mask.dtype != bool:
+            raise ParameterError(f"mask must be boolean, got dtype {mask.dtype}")
         if mask.size != self.n_terms:
             raise ParameterError("mask length must equal the term count")
         if mask.all():

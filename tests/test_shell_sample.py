@@ -1,5 +1,5 @@
 """The shell rate sample against the per-box construction it replaces, kept
-here as the reference, and the octave arrays that its polynomials carry.
+here as the reference, and the box split that its polynomials carry.
 Every comparison is bit for bit, dtype included."""
 
 import numpy as np
@@ -11,7 +11,8 @@ from stepcross.besov import BesovParams, _octave_rows
 from stepcross.errors import CapacityError
 from stepcross.indexsets import SpectrumSet, q_set, rho, theta
 from stepcross.majorant import omega_dyadic
-from stepcross.trigpoly import QuadratureSpec, TrigPolynomial, _octaves, random_in_spectrum
+from stepcross.trigpoly import (QuadratureSpec, TrigPolynomial, _box_rows, _octaves,
+                               random_in_spectrum)
 from stepcross.verify import MIXED_2D, PLAIN_3D, SMOOTH_2D
 
 QUAD = QuadratureSpec(rel_tol=1e-3)
@@ -72,7 +73,7 @@ def test_dropped_box(monkeypatch, omega, p, n, drop):
     want = reference_shell_sample(omega, bp, n, np.random.default_rng(9), QUAD)
     assert_same(got, want)
     assert got.n_terms == len(SpectrumSet(omega.d, theta(omega, n).members)) - dropped
-    assert np.array_equal(got.octaves(), _octaves(got.ks))
+    assert got._boxes is None
 
 
 def test_union_is_capped(monkeypatch):
@@ -95,40 +96,40 @@ def test_random_in_spectrum_draws_unchanged():
         assert not f.ks.flags.writeable and not f.cs.flags.writeable
 
 
-class TestCarriedOctaves:
+class TestCarriedSplit:
+    """The ``box_rows()`` split a shell sample carries: derived polynomials
+    keep the same object, pruning drops it, and it agrees with a fresh one."""
+
     @pytest.fixture(scope="class")
     def f(self):
         return approx._shell_sample(SMOOTH_2D, BesovParams(2.0, 2.0), 2.0 ** 10,
                                     np.random.default_rng(3), QUAD)
 
-    def test_derived_keep_them(self, f):
-        carried = f.octaves()
-        assert not carried.flags.writeable
-        assert np.array_equal(carried, _octaves(f.ks))
-        assert carried.dtype == _octaves(f.ks).dtype
+    def test_derived_keep_it(self, f):
+        carried = f.box_rows()
+        assert f._boxes is carried
+        with pytest.raises(TypeError):
+            carried[(1, 1)] = np.arange(1)
         assert f.restrict(np.ones(f.n_terms, dtype=bool)) is f
-        for g in (f, -f, 2.5 * f, f.translate([0.3, -1.2])):
-            assert g.octaves() is carried
-            assert np.array_equal(g.octaves(), _octaves(g.ks))
+        for g in (-f, 2.5 * f, f.translate([0.3, -1.2])):
+            assert g.box_rows() is carried
 
-    def test_dropped_rows_recompute(self, f):
-        mask = np.arange(f.n_terms) % 3 != 0
-        g = f.restrict(mask)
-        assert g._octs is None
-        assert np.array_equal(g.octaves(), _octaves(g.ks))
-        assert (0 * f)._octs is None
-
-    def test_blocks_group_alike(self, f):
-        """The octave groups of a carried array and of a fresh one agree."""
-        plain = TrigPolynomial(f.ks, f.cs)
-        got, want = _octave_rows(f), _octave_rows(plain)
-        assert list(got) == list(want)
-        assert all(np.array_equal(got[s], want[s]) for s in got)
+    def test_pruning_drops_it(self, f):
+        assert f.restrict(np.arange(f.n_terms) % 3 != 0)._boxes is None
+        assert (0 * f)._boxes is None
 
     def test_not_stored_when_absent(self, f):
-        """A polynomial built without octaves never keeps the (n, d) array."""
+        """A polynomial built without a split never keeps one."""
         for g in (TrigPolynomial(f.ks, f.cs), random_in_spectrum(q_set(SMOOTH_2D, 64.0), seed=1),
                   f.restrict(np.arange(f.n_terms) > 0)):
-            first = g.octaves()
-            assert first.flags.writeable and g.octaves() is not first
-            assert g._octs is None
+            assert g._boxes is None
+            assert g.box_rows() is not g.box_rows()
+
+    def test_carried_and_fresh_agree(self, f):
+        """The carried split and one computed afresh from the octaves agree,
+        and so do the octave groups the norms read."""
+        want = _box_rows(_octaves(f.ks))
+        for got in (f.box_rows(), _octave_rows(f)):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[s], want[s]) for s in got)
+        assert list(f.box_rows()) == list(theta(SMOOTH_2D, 2.0 ** 10))

@@ -132,6 +132,14 @@ class TestContainer:
             with pytest.raises(ParameterError, match="finite"):
                 scalar * TrigPolynomial.zero(1)
 
+    def test_restrict_takes_boolean_masks_only(self):
+        f = TrigPolynomial([[1], [2], [3]], [1.0, 2.0, 3.0])
+        for mask in ([True, False, True], np.array([True, False, True])):
+            assert f.restrict(mask).ks.ravel().tolist() == [1, 3]
+        for mask in ([0.5, 0, 7], [1, 0, 1], np.array([1, 0, 1], dtype=np.uint8), ["a", "", "b"]):
+            with pytest.raises(ParameterError, match="boolean"):
+                f.restrict(mask)
+
     def test_sum_of_dimension_mismatch(self):
         with pytest.raises(ParameterError, match="dimension mismatch"):
             TrigPolynomial.sum_of(2, [one_plus_exp()])
