@@ -20,7 +20,7 @@ from .errors import ParameterError, UnsupportedRegimeError, check_exponent, chec
 from .extremal import WITNESS_BUILDERS, WitnessConfig
 from .indexsets import SpectrumSet, _check_n, _members, _shell, in_cross, q_set, q_size
 from .majorant import MajorantParams, _exp2
-from .trigpoly import (QuadratureSpec, TrigPolynomial, _box_rows, _draw, _octaves, lp_norm,
+from .trigpoly import (QuadratureSpec, TrigPolynomial, _box_rows, _draw, lp_norm,
                        random_in_spectrum)
 
 __all__ = [
@@ -109,13 +109,13 @@ def _check_count(m) -> int:
 
 def _cross_mask(f: TrigPolynomial, omega: MajorantParams, n: float) -> np.ndarray:
     """Per-coefficient membership of f's frequencies in the cross Q(N), decided
-    once per octave box of ``f.box_rows()`` and scattered to the box's rows."""
+    once per octave box of ``_box_rows(f.ks)`` and scattered to the box's rows."""
     n = _check_n(n)
     if f.is_zero:
         return np.zeros(0, dtype=bool)
     if f.d != omega.d:
         raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
-    boxes = f.box_rows()
+    boxes = _box_rows(f.ks)
     keys = np.array(list(boxes))
     # octaves are >= 0, so a key without a zero coordinate is all >= 1
     inside = in_cross(omega, keys, n) & keys.all(axis=1)
@@ -165,21 +165,22 @@ def _shell_sample(omega: MajorantParams, bp: BesovParams, n: float,
     """The sum over the boxes s of theta(N) of omega(2^{-s}) times a random
     block on rho(s) of unit L_p norm (one of norm 0 dropped), bit for bit,
     built from one ``materialize`` of the union: the boxes and their weights
-    come from ``indexsets._shell``, the union's ``box_rows()`` split lists
-    each box's rows as ``rho(s)`` does, each box's draws are scaled in place,
-    and the split rides along (see ``TrigPolynomial``)."""
+    come from ``indexsets._shell``, the ``_box_rows`` split of the union's
+    rows lists each box's rows as ``rho(s)`` does, and each box's draws are
+    scaled in place.  The sample holds those very rows, so its norm and
+    projection find their split kept, unless a dropped box pruned them."""
     boxes, log2w = _shell(omega, n)
     if len(boxes) == 0:
         raise ParameterError(f"shell is empty at N={n}")
     ks = SpectrumSet(omega.d, _members(boxes)).materialize()
-    split, cs = _box_rows(_octaves(ks)), np.zeros(len(ks), dtype=np.complex128)
+    split, cs = _box_rows(ks), np.zeros(len(ks), dtype=np.complex128)
     # the split's keys and the shell's rows are the same boxes in lex order
     for rows, weight in zip(split.values(), _exp2(-log2w).tolist()):
         draws = _draw(rng, len(rows), "gaussian")
         norm = lp_norm(TrigPolynomial._canonical(ks.take(rows, axis=0), draws), bp.p, quad)
         if norm != 0.0:
             cs[rows] = draws * complex(weight / norm)
-    return TrigPolynomial._canonical(ks, cs, split)
+    return TrigPolynomial._canonical(ks, cs)
 
 
 def _validate_family(family: str, regime: RateRegime, bp: BesovParams):

@@ -12,16 +12,19 @@ expression at the integrability endpoints; the dispatcher uses blocks for
 (they are equivalent, not equal); each is deterministic.  One engine serves
 both forms, in the norms and in the battery's equivalence check alike:
 ``besov_terms`` computes the weighted terms for one or several p and
-``combine`` sums them.  It reads the rows of each octave box from the
-polynomial's one box split (``TrigPolynomial.box_rows``), gathers each band
-piece from the at most 2^d blocks it touches, builds each piece with one
-constructor (its rows times the band multiplier, pruned once), takes each
-piece's norms for every p from one grid pass, and weighs all its pieces
-with one ``majorant.log2_weight`` call that leaves log2 space through the
-majorant's one range rule.
+``combine`` sums them.  It reads the rows of each octave box from the one
+split of the polynomial's rows (``trigpoly._box_rows``, which keeps the
+split of the last rows array it grouped, so the block and band forms of one
+polynomial, and its scaled copy on the unit ball, group its rows once),
+gathers each band piece from the at most 2^d blocks it touches, builds each
+piece with one constructor (its rows times the band multiplier, pruned
+once), takes each piece's norms for every p from one grid pass, and weighs
+all its pieces with one ``majorant.log2_weight`` call that leaves log2
+space through the majorant's one range rule.
 
-Functions with a frequency on a coordinate hyperplane (some k_j = 0) carry
-no octave index and are rejected.
+Functions with a frequency on a coordinate hyperplane (some k_j = 0), or
+with a coordinate -2^63 past the deepest octave ``MAX_OCTAVE``, carry no
+octave index and are rejected.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import numpy as np
 
 from .errors import ParameterError, check_exponent, check_exponents
 from .kernels import band_multiplier
-from .majorant import MajorantParams, _exp2, log2_weight
+from .majorant import MAX_OCTAVE, MajorantParams, _exp2, log2_weight
 # lp_norm stays a name of this module: bench/tests checks that the bench
 # tracer wraps it here, as in the other modules that bind it
-from .trigpoly import QuadratureSpec, TrigPolynomial, lp_norm, lp_norms  # noqa: F401
+from .trigpoly import QuadratureSpec, TrigPolynomial, _box_rows, lp_norm, lp_norms  # noqa: F401
 
 __all__ = [
     "BesovParams",
@@ -64,12 +67,13 @@ class BesovParams:
 
 
 def _octave_rows(f: TrigPolynomial):
-    """``f.box_rows()``, refused when a frequency has a zero coordinate."""
-    boxes = f.box_rows()
-    zeros = [int(rows[0]) for s, rows in boxes.items() if 0 in s]
-    if zeros:
-        raise ParameterError(f"frequency {tuple(f.ks[min(zeros)].tolist())} has a zero "
-                             "coordinate and belongs to no dyadic octave")
+    """``_box_rows(f.ks)``, refused when a frequency has a coordinate in no
+    octave 1..``MAX_OCTAVE``: a zero, or -2^63 (octave 64)."""
+    boxes = _box_rows(f.ks)
+    outside = [int(rows[0]) for s, rows in boxes.items() if 0 in s or max(s) > MAX_OCTAVE]
+    if outside:
+        raise ParameterError(f"frequency {tuple(f.ks[min(outside)].tolist())} has a coordinate "
+                             f"of 0 or -2^63 and belongs to no dyadic octave 1..{MAX_OCTAVE}")
     return boxes
 
 

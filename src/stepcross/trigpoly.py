@@ -127,21 +127,41 @@ def _octaves(ks: np.ndarray) -> np.ndarray:
     return np.searchsorted(_OCTAVE_FLOORS, np.abs(ks).view(np.uint64), side="right")
 
 
-def _box_rows(octs: np.ndarray) -> MappingProxyType:
+# the rows array ``_box_rows`` grouped last and its split: one tuple, read
+# and stored in one step, so no caller gets a split paired with other rows;
+# the strong reference keeps that array's id from passing to another array
+_kept: tuple = (None, None)
+
+
+def _box_rows(ks: np.ndarray) -> MappingProxyType:
     """The one grouping of rows into octave boxes: for each distinct row s of
-    a nonempty (n, d) octave array, the increasing indices of the rows equal
-    to s, keys in lex order.  The mapping is read-only; its index arrays are
-    not to be written, but stay writeable because ``take`` copies an index
-    array that is not."""
-    order = _lex_order(octs)
-    # a group starts wherever some sorted column changes
-    cols = [col.take(order) for col in octs.T]
-    new = cols[0][1:] != cols[0][:-1]
-    for col in cols[1:]:
-        new |= col[1:] != col[:-1]
-    starts = np.flatnonzero(np.r_[True, new])
-    keys = zip(*(col[starts].tolist() for col in cols))
-    return MappingProxyType(dict(zip(keys, np.split(order, starts[1:]))))
+    the octaves of the (n, d) frequency rows ``ks``, the increasing indices
+    of the rows in box s, keys in lex order (no keys for no rows).  The
+    mapping is read-only; its index arrays are not to be written, but stay
+    writeable because ``take`` copies an index array that is not.
+
+    The one place that decides when a split is reused: it keeps one entry,
+    the last rows array it grouped and that array's split, and after a call
+    returns the entry holds ``ks`` and the split returned.  A call with the
+    very same array (compared by identity; rows are never written once
+    grouped) returns the kept split.  Sign, scaling and translation pass
+    ``ks`` on unchanged, so they share its split; pruning builds a new
+    array, which is grouped afresh."""
+    global _kept
+    kept = _kept
+    if kept[0] is not ks:
+        split = {}
+        if len(ks):
+            octs = _octaves(ks)
+            order = _lex_order(octs)
+            # a group starts wherever some sorted column changes
+            cols = [col.take(order) for col in octs.T]
+            new = np.logical_or.reduce([col[1:] != col[:-1] for col in cols])
+            starts = np.flatnonzero(np.r_[True, new])
+            keys = zip(*(col[starts].tolist() for col in cols))
+            split = dict(zip(keys, np.split(order, starts[1:])))
+        kept = _kept = (ks, MappingProxyType(split))
+    return kept[1]
 
 
 class TrigPolynomial:
@@ -159,14 +179,13 @@ class TrigPolynomial:
     reduced a column at a time, as numpy's fancy indexing and short-axis
     reductions take a slow path.
 
-    ``box_rows()`` groups the rows by octave box.  Code that has that split
-    already (the shell rate sample) may hand it to ``_canonical``; sign,
-    scaling, translation and an all-true ``restrict`` (f itself) keep the
-    same read-only object, and pruning drops it.  Nothing is cached lazily:
-    each polynomial of a pool would hold n more int64.
+    A polynomial holds its rows and coefficients and nothing derived from
+    them: each polynomial of a pool would hold n more int64.  The split of
+    its rows into octave boxes belongs to the rows array (``_box_rows``),
+    which sign, scaling and translation pass on unchanged.
     """
 
-    __slots__ = ("ks", "cs", "_boxes")
+    __slots__ = ("ks", "cs")
 
     def __init__(self, ks, cs):
         ks = _frequencies(ks)
@@ -192,24 +211,22 @@ class TrigPolynomial:
                 ks, cs = ks.take(starts, axis=0), np.add.reduceat(cs, starts)
         self._prune_and_freeze(ks, cs)
 
-    def _prune_and_freeze(self, ks, cs, boxes=None):
+    def _prune_and_freeze(self, ks, cs):
         if not np.all(np.isfinite(cs)):
             raise ParameterError("coefficients must be finite")
         keep = cs != 0
         if not np.all(keep):
-            ks, cs, boxes = ks.compress(keep, axis=0), cs.compress(keep), None
-        ks.setflags(write=False)
-        cs.setflags(write=False)
-        for name, value in (("ks", ks), ("cs", cs), ("_boxes", boxes)):
+            ks, cs = ks.compress(keep, axis=0), cs.compress(keep)
+        for name, value in (("ks", ks), ("cs", cs)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _canonical(cls, ks, cs, boxes=None) -> "TrigPolynomial":
-        """Trusted constructor for canonical rows (int64, complex128) and
-        their optional ``_box_rows`` split: prunes exact zeros (and then the
-        split), sorts nothing."""
+    def _canonical(cls, ks, cs) -> "TrigPolynomial":
+        """Trusted constructor for canonical rows (int64, complex128) that may
+        hold exact zeros: prunes them, sorts and merges nothing."""
         out = object.__new__(cls)
-        out._prune_and_freeze(ks, cs, boxes)
+        out._prune_and_freeze(ks, cs)
         return out
 
     def __setattr__(self, name, value):
@@ -264,14 +281,6 @@ class TrigPolynomial:
         whole int64 range."""
         return _octaves(self.ks)
 
-    def box_rows(self) -> MappingProxyType:
-        """The increasing row indices of each occupied octave box, keyed by
-        the box's ``octaves()`` row in lex order (``_box_rows``); the carried
-        split if there is one."""
-        if self._boxes is not None:
-            return self._boxes
-        return _box_rows(self.octaves()) if self.n_terms else MappingProxyType({})
-
     # -- algebra ----------------------------------------------------------
 
     def _binary(self, other, sign):
@@ -289,7 +298,7 @@ class TrigPolynomial:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return TrigPolynomial._canonical(self.ks, -self.cs, self._boxes)
+        return TrigPolynomial._canonical(self.ks, -self.cs)
 
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPolynomial):
@@ -297,25 +306,24 @@ class TrigPolynomial:
         scalar = complex(scalar)
         if not cmath.isfinite(scalar):
             raise ParameterError(f"scalar must be finite, got {scalar}")
-        return TrigPolynomial._canonical(self.ks, self.cs * scalar, self._boxes)
+        return TrigPolynomial._canonical(self.ks, self.cs * scalar)
 
     __rmul__ = __mul__
 
     def translate(self, x0) -> "TrigPolynomial":
         """The shifted function x -> f(x - x0)."""
         phase = np.exp(-1j * (self.ks @ check_point(x0, "shift", self.d)))
-        return TrigPolynomial._canonical(self.ks, self.cs * phase, self._boxes)
+        return TrigPolynomial._canonical(self.ks, self.cs * phase)
 
     def restrict(self, mask) -> "TrigPolynomial":
         """The terms where a boolean ``mask`` (one entry per term) is true;
-        a mask of any other dtype raises ParameterError."""
+        a nonempty mask of any other dtype raises ParameterError (an empty
+        list reads as float)."""
         mask = np.asarray(mask).reshape(-1)
-        if mask.dtype != bool:
+        if mask.dtype != bool and mask.size:
             raise ParameterError(f"mask must be boolean, got dtype {mask.dtype}")
         if mask.size != self.n_terms:
             raise ParameterError("mask length must equal the term count")
-        if mask.all():
-            return self
         return TrigPolynomial._canonical(self.ks.compress(mask, axis=0), self.cs.compress(mask))
 
     # -- evaluation -------------------------------------------------------

@@ -49,6 +49,23 @@ class TestBlocks:
             dyadic_blocks(f)
 
 
+@pytest.mark.parametrize("form", ["blocks", "bands"])
+@pytest.mark.parametrize("ks", [[[-2 ** 63], [5]], [[3, 5], [-2 ** 63, 2]]])
+def test_deepest_octave_refused(form, ks):
+    """-2^63 lies in octave 64, past ``MAX_OCTAVE``: both forms and the norm
+    refuse it, naming the frequency, as they refuse a zero coordinate."""
+    f = TrigPolynomial(ks, [1.0, 1.0])
+    om = P(f.d, 1.0, 0.0)
+    with pytest.raises(ParameterError, match=r"-9223372036854775808"):
+        besov_terms(f, om, (2.0,), form)
+    p = 2.0 if form == "blocks" else 1.0
+    with pytest.raises(ParameterError, match=r"-9223372036854775808"):
+        besov_norm(f, om, BesovParams(p, 2.0))
+    # the deepest octave a coordinate may hold, 2^62 <= |k| < 2^63, is weighed
+    deepest = TrigPolynomial(np.where(f.ks == -2 ** 63, 2 ** 63 - 1, f.ks), [1.0, 1.0])
+    assert max(map(max, besov_terms(deepest, om, (2.0,), form)[0])) == 63
+
+
 class TestBlockNorm:
     def test_weighted_sum(self):
         # weights 1/omega(2^-s): 2 and 4 for r=1, b=0; theta=1 totals 6

@@ -44,7 +44,6 @@ class TestPerBoxMask:
     def test_fresh_split(self, omega, seed):
         f = seeded_poly(omega.d, seed)
         assert (f.octaves() == 0).any()
-        assert f._boxes is None
         for n in (1.0, 2.0 ** 3, 2.0 ** 5, 2.0 ** 7.3, 2.0 ** 12):
             assert np.array_equal(_cross_mask(f, omega, n), reference_mask(f, omega, n))
 
@@ -53,7 +52,6 @@ class TestPerBoxMask:
     def test_carried_split(self, omega, n):
         f = _shell_sample(omega, BesovParams(2.0, 2.0), n, np.random.default_rng(4),
                           QuadratureSpec(rel_tol=1e-3))
-        assert f._boxes is not None
         for g in (f, 2.5 * f, -f, f.translate(np.full(omega.d, 0.7)), TrigPolynomial(f.ks, f.cs)):
             for m in (n / 2, n, 2 * n, 4 * n):
                 assert np.array_equal(_cross_mask(g, omega, m), reference_mask(g, omega, m))

@@ -1,18 +1,22 @@
 """The shell rate sample against the per-box construction it replaces, kept
-here as the reference, and the box split that its polynomials carry.
-Every comparison is bit for bit, dtype included."""
+here as the reference, and the box split that ``trigpoly._box_rows`` keeps
+for the last rows array it grouped.  Every comparison is bit for bit, dtype
+included."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 import stepcross.approx as approx
 import stepcross.indexsets as indexsets
-from stepcross.besov import BesovParams, _octave_rows
+import stepcross.trigpoly as trigpoly
+from stepcross.besov import BesovParams, _octave_rows, besov_norm, besov_terms
 from stepcross.errors import CapacityError
+from stepcross.extremal import WitnessConfig, g7_stack_normalized
 from stepcross.indexsets import SpectrumSet, q_set, rho, theta
 from stepcross.majorant import omega_dyadic
-from stepcross.trigpoly import (QuadratureSpec, TrigPolynomial, _box_rows, _octaves,
-                               random_in_spectrum)
+from stepcross.trigpoly import QuadratureSpec, TrigPolynomial, _box_rows, random_in_spectrum
 from stepcross.verify import MIXED_2D, PLAIN_3D, SMOOTH_2D
 
 QUAD = QuadratureSpec(rel_tol=1e-3)
@@ -39,6 +43,21 @@ def assert_same(f, g):
     assert f.cs.dtype == g.cs.dtype == np.complex128
     assert np.array_equal(f.ks, g.ks)
     assert np.array_equal(f.cs.view(np.float64), g.cs.view(np.float64))
+
+
+def reference_split(f):
+    """The rows of f grouped one row at a time by their ``octaves()`` row,
+    boxes in lex order."""
+    groups = {}
+    for i, s in enumerate(map(tuple, f.octaves().tolist())):
+        groups.setdefault(s, []).append(i)
+    return {s: groups[s] for s in sorted(groups)}
+
+
+def assert_split(got, want):
+    assert list(got) == list(want)
+    for s, rows in want.items():
+        assert got[s].dtype == np.intp and got[s].tolist() == rows
 
 
 def both(omega, p, n, seed=(5, 1, 2)):
@@ -73,7 +92,7 @@ def test_dropped_box(monkeypatch, omega, p, n, drop):
     want = reference_shell_sample(omega, bp, n, np.random.default_rng(9), QUAD)
     assert_same(got, want)
     assert got.n_terms == len(SpectrumSet(omega.d, theta(omega, n).members)) - dropped
-    assert got._boxes is None
+    assert_split(_box_rows(got.ks), reference_split(got))
 
 
 def test_union_is_capped(monkeypatch):
@@ -96,40 +115,79 @@ def test_random_in_spectrum_draws_unchanged():
         assert not f.ks.flags.writeable and not f.cs.flags.writeable
 
 
-class TestCarriedSplit:
-    """The ``box_rows()`` split a shell sample carries: derived polynomials
-    keep the same object, pruning drops it, and it agrees with a fresh one."""
+def sample():
+    return approx._shell_sample(SMOOTH_2D, BesovParams(2.0, 2.0), 2.0 ** 10,
+                                np.random.default_rng(3), QUAD)
 
-    @pytest.fixture(scope="class")
-    def f(self):
-        return approx._shell_sample(SMOOTH_2D, BesovParams(2.0, 2.0), 2.0 ** 10,
-                                    np.random.default_rng(3), QUAD)
 
-    def test_derived_keep_it(self, f):
-        carried = f.box_rows()
-        assert f._boxes is carried
-        with pytest.raises(TypeError):
-            carried[(1, 1)] = np.arange(1)
-        assert f.restrict(np.ones(f.n_terms, dtype=bool)) is f
+class TestKeptSplit:
+    """``_box_rows`` keeps the split of the last rows array it grouped:
+    polynomials that share that array share its split, and every other
+    array gets a split equal to one grouped row by row."""
+
+    def test_derived_share_it(self):
+        f = sample()
+        rows, split = trigpoly._kept
+        assert rows is f.ks
         for g in (-f, 2.5 * f, f.translate([0.3, -1.2])):
-            assert g.box_rows() is carried
+            assert _box_rows(g.ks) is split
+        assert_split(split, reference_split(f))
+        assert list(split) == list(theta(SMOOTH_2D, 2.0 ** 10))
 
-    def test_pruning_drops_it(self, f):
-        assert f.restrict(np.arange(f.n_terms) % 3 != 0)._boxes is None
-        assert (0 * f)._boxes is None
+    def test_alternating(self):
+        f, g = sample(), random_in_spectrum(q_set(MIXED_2D, 2.0 ** 9), seed=1)
+        # as many rows as f, each one octave up on every axis
+        up = TrigPolynomial(2 * f.ks, f.cs)
+        for h in (f, g, f, f, up, g, g, up, f, up, up, g):
+            assert_split(_box_rows(h.ks), reference_split(h))
 
-    def test_not_stored_when_absent(self, f):
-        """A polynomial built without a split never keeps one."""
-        for g in (TrigPolynomial(f.ks, f.cs), random_in_spectrum(q_set(SMOOTH_2D, 64.0), seed=1),
-                  f.restrict(np.arange(f.n_terms) > 0)):
-            assert g._boxes is None
-            assert g.box_rows() is not g.box_rows()
+    def test_new_arrays_split_afresh(self):
+        f = sample()
+        kept = _box_rows(f.ks)
+        for g in (TrigPolynomial(f.ks, f.cs), f.restrict(np.arange(f.n_terms) % 3 != 0),
+                  f.restrict(np.ones(f.n_terms, dtype=bool))):
+            assert g.ks is not f.ks
+            got = _box_rows(g.ks)
+            assert got is not kept
+            assert_split(got, reference_split(g))
+            assert _box_rows(g.ks) is got
 
-    def test_carried_and_fresh_agree(self, f):
-        """The carried split and one computed afresh from the octaves agree,
-        and so do the octave groups the norms read."""
-        want = _box_rows(_octaves(f.ks))
-        for got in (f.box_rows(), _octave_rows(f)):
-            assert list(got) == list(want)
-            assert all(np.array_equal(got[s], want[s]) for s in got)
-        assert list(f.box_rows()) == list(theta(SMOOTH_2D, 2.0 ** 10))
+    def test_read_only_with_writeable_rows(self):
+        split = _box_rows(sample().ks)
+        with pytest.raises(TypeError):
+            split[(1, 1)] = np.arange(1)
+        assert all(rows.flags.writeable for rows in split.values())
+
+    def test_zero(self):
+        for f in (TrigPolynomial.zero(2), 0 * sample()):
+            assert dict(_box_rows(f.ks)) == {}
+            assert _octave_rows(f) == {}
+
+
+def test_one_grouping_per_polynomial(monkeypatch):
+    """The block and band forms of one fresh polynomial, and a witness's
+    projection and norm, group its rows once: one ``_octaves`` call."""
+    calls, real = [], trigpoly._octaves
+    monkeypatch.setattr(trigpoly, "_octaves", lambda ks: calls.append(len(ks)) or real(ks))
+    f = random_in_spectrum(q_set(MIXED_2D, 2.0 ** 9), seed=4)
+    for form in ("blocks", "bands"):
+        besov_terms(f, MIXED_2D, (1.5, 2.0), form, QUAD)
+    assert calls == [f.n_terms]
+    cfg = WitnessConfig(omega=SMOOTH_2D, bp=BesovParams(2.0, 2.0), n=2.0 ** 10)
+    g = g7_stack_normalized(cfg)
+    calls.clear()
+    approx.project_q(g, SMOOTH_2D, cfg.n)
+    besov_norm(g, SMOOTH_2D, cfg.bp, QUAD)
+    assert calls == [g.n_terms]
+
+
+def test_kept_rows_are_released():
+    """The entry holds only the last rows grouped: once f is gone and another
+    polynomial is split, f's rows are freed."""
+    f = random_in_spectrum(q_set(MIXED_2D, 2.0 ** 9), seed=5)
+    _box_rows(f.ks)
+    rows = weakref.ref(f.ks)
+    del f
+    assert rows() is not None
+    _box_rows(TrigPolynomial.zero(2).ks)
+    assert rows() is None

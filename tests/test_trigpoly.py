@@ -140,6 +140,20 @@ class TestContainer:
             with pytest.raises(ParameterError, match="boolean"):
                 f.restrict(mask)
 
+    def test_restrict_takes_an_empty_mask(self):
+        """An empty list reads as a float array; with no entries it is no
+        less boolean, so only the length rule applies."""
+        for d in (1, 2):
+            for mask in ([], np.empty(0), np.empty(0, dtype=bool)):
+                g = TrigPolynomial.zero(d).restrict(mask)
+                assert g.is_zero and g.d == d
+        f = TrigPolynomial([[1], [2]], [1.0, 2.0])
+        with pytest.raises(ParameterError, match="length"):
+            f.restrict([])
+        for mask in ([1.0, 0.0], [1, 0]):
+            with pytest.raises(ParameterError, match="boolean"):
+                f.restrict(mask)
+
     def test_sum_of_dimension_mismatch(self):
         with pytest.raises(ParameterError, match="dimension mismatch"):
             TrigPolynomial.sum_of(2, [one_plus_exp()])
