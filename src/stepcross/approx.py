@@ -223,9 +223,10 @@ def rate_experiment(omega: MajorantParams, bp: BesovParams, q: float, family: st
         m = q_size(omega, n)
         theory = theoretical_rate(omega, regime, m)
         worst = 0.0
+        # the samples at one N share one spectrum, and so its rows and layout
+        spectrum = q_set(omega, n * 2.0 ** omega.l) if family == "random_ball" else None
         for j in range(eff_samples):
             if family == "random_ball":
-                spectrum = q_set(omega, n * 2.0 ** omega.l)
                 f = random_in_spectrum(
                     spectrum, seed=np.random.default_rng([seed, i, j]), law="gaussian")
             elif family == "shell":

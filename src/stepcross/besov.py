@@ -13,14 +13,17 @@ expression at the integrability endpoints; the dispatcher uses blocks for
 both forms, in the norms and in the battery's equivalence check alike:
 ``besov_terms`` computes the weighted terms for one or several p and
 ``combine`` sums them.  It reads the rows of each octave box from the one
-split of the polynomial's rows (``trigpoly._box_rows``, which keeps the
-split of the last rows array it grouped, so the block and band forms of one
-polynomial, and its scaled copy on the unit ball, group its rows once),
-gathers each band piece from the at most 2^d blocks it touches, builds each
-piece with one constructor (its rows times the band multiplier, pruned
-once), takes each piece's norms for every p from one grid pass, and weighs
-all its pieces with one ``majorant.log2_weight`` call that leaves log2
-space through the majorant's one range rule.
+split of the polynomial's rows, kept in their layout (``trigpoly._layout``,
+which keeps the layout of the last rows array it was asked for, so the
+block and band forms of one polynomial, its scaled copy on the unit ball
+and every polynomial drawn from the same ``SpectrumSet`` group the rows
+once), gathers each band piece from the at most 2^d blocks it touches,
+builds each piece with one constructor (its rows times the band
+multiplier, pruned once), takes each piece's norms for every p from one
+grid pass, and weighs all its pieces with one ``majorant.log2_weight`` call
+that leaves log2 space through the majorant's one range rule.  The layout
+also keeps each piece's fold on each grid, lent to ``lp_norms`` only while
+the piece holds every row the layout derives for it.
 
 Functions with a frequency on a coordinate hyperplane (some k_j = 0), or
 with a coordinate -2^63 past the deepest octave ``MAX_OCTAVE``, carry no
@@ -40,7 +43,8 @@ from .kernels import band_multiplier
 from .majorant import MAX_OCTAVE, MajorantParams, _exp2, log2_weight
 # lp_norm stays a name of this module: bench/tests checks that the bench
 # tracer wraps it here, as in the other modules that bind it
-from .trigpoly import QuadratureSpec, TrigPolynomial, _box_rows, lp_norm, lp_norms  # noqa: F401
+from .trigpoly import (QuadratureSpec, TrigPolynomial, _box_rows, _layout, lp_norm,  # noqa: F401
+                       lp_norms)
 
 __all__ = [
     "BesovParams",
@@ -84,8 +88,11 @@ def dyadic_blocks(f: TrigPolynomial) -> dict[tuple[int, ...], TrigPolynomial]:
 
 
 def _band_pieces(f: TrigPolynomial):
-    """Nonzero band pieces (s, piece) in lex order.  Band s touches only the
-    octaves sigma with sigma_j in {s_j, s_j + 1}: at most 2^d blocks."""
+    """Nonzero band pieces (s, piece, full) in lex order, ``full`` when the
+    piece holds every row of its blocks that the multiplier keeps: a
+    coefficient that underflows under it (5e-324 * 0.25) prunes one more.
+    Band s touches only the octaves sigma with sigma_j in {s_j, s_j + 1}:
+    at most 2^d blocks."""
     touched: dict[tuple[int, ...], list[np.ndarray]] = {}
     for sigma, rows in _octave_rows(f).items():
         for s in itertools.product(*[sorted({max(1, sj - 1), sj}) for sj in sigma]):
@@ -93,9 +100,10 @@ def _band_pieces(f: TrigPolynomial):
     for s in sorted(touched):
         rows = np.sort(np.concatenate(touched[s]))
         ks = f.ks.take(rows, axis=0)
-        piece = TrigPolynomial._canonical(ks, f.cs.take(rows) * band_multiplier(s, ks))
+        multiplier = band_multiplier(s, ks)
+        piece = TrigPolynomial._canonical(ks, f.cs.take(rows) * multiplier)
         if not piece.is_zero:
-            yield s, piece
+            yield s, piece, piece.n_terms == np.count_nonzero(multiplier)
 
 
 def besov_terms(f: TrigPolynomial, omega: MajorantParams, ps, form: str,
@@ -104,16 +112,20 @@ def besov_terms(f: TrigPolynomial, omega: MajorantParams, ps, form: str,
     """The octave indices s, in lex order, and for each p of the sequence
     ``ps`` the weighted terms ||piece_s||_p / omega(2^{-s}) of the block or
     band form.  Each piece is built once, and one ``lp_norms`` call gives
-    its norms for every p."""
+    its norms for every p, on the folds that the layout of f's rows keeps
+    for the piece when it is full."""
     if f.d != omega.d:
         raise ParameterError(f"function has dimension {f.d}, majorant expects {omega.d}")
     if form not in ("blocks", "bands"):
         raise ParameterError(f"unknown norm form {form!r}; choose 'blocks' or 'bands'")
     ps = check_exponents(ps, "p")
-    indices, norms = [], []
-    for s, piece in dyadic_blocks(f).items() if form == "blocks" else _band_pieces(f):
+    indices, norms, folds = [], [], _layout(f.ks)[1]
+    # a block holds every row of its box: f has no zero coefficient
+    pieces = (((s, block, True) for s, block in dyadic_blocks(f).items())
+              if form == "blocks" else _band_pieces(f))
+    for s, piece, full in pieces:
         indices.append(s)
-        norms.append(lp_norms(piece, ps, quad))
+        norms.append(lp_norms(piece, ps, quad, folds.setdefault((form, s), {}) if full else None))
     weights = _exp2(-log2_weight(omega, np.reshape(indices, (-1, f.d))))
     terms = np.reshape(norms, (len(indices), len(ps))) / weights[:, None]
     return indices, tuple(column.tolist() for column in terms.T)

@@ -85,7 +85,10 @@ class SpectrumSet:
     contains exactly 2^{|s|_1} points.  Cardinality is exact (Python ints);
     materialization is guarded by a point-count cap.  ``size`` and ``len``
     count the boxes as given: only ``from_boxes``, ``rho`` and
-    ``materialize`` check them.
+    ``materialize`` check them.  ``materialize`` returns a fresh writeable
+    array on every call; ``_rows`` is one read-only copy, made on first use
+    and held by the set, that every polynomial ``random_in_spectrum`` draws
+    from the set shares, and with it the rows' layout (``trigpoly._layout``).
     """
 
     d: int
@@ -102,6 +105,12 @@ class SpectrumSet:
 
     def __len__(self) -> int:
         return self.size
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        rows = self.materialize()
+        rows.setflags(write=False)
+        return rows
 
     def materialize(self) -> np.ndarray:
         """All member frequencies as an (n, d) int64 array in row-lex order,

@@ -17,7 +17,11 @@ where that limits the adaptive mean).
 A mean or a maximum adds up over slabs, so a norm holds the values of at
 most ``SLAB_POINTS`` points at once, however large its grid; a grid of at
 most ``SLAB_POINTS`` points is one slab.  Slabs are cut along axis 0 where
-they can be, and share one folding of the spectrum (``_grid_slabs``).
+they can be, and share one folding of the spectrum (``_grid_slabs``).  A
+folding depends on the rows alone, so the layout of a rows array
+(``_layout``), shared by every polynomial drawn from one ``SpectrumSet``,
+keeps its box split and the folding of each block and band piece of
+``besov_terms`` on each grid.
 
 ``lp_norms`` gives the same values for several p from one pass over the
 grids.  Each sampled p has one owner: its exact grid, the sup ladder or the
@@ -127,26 +131,29 @@ def _octaves(ks: np.ndarray) -> np.ndarray:
     return np.searchsorted(_OCTAVE_FLOORS, np.abs(ks).view(np.uint64), side="right")
 
 
-# the rows array ``_box_rows`` grouped last and its split: one tuple, read
-# and stored in one step, so no caller gets a split paired with other rows;
-# the strong reference keeps that array's id from passing to another array
-_kept: tuple = (None, None)
+# the rows array ``_layout`` derived last, its split and its fold store: one
+# tuple, read and stored in one step, so no caller gets a split or a fold
+# paired with other rows; the strong reference keeps that array's id from
+# passing to another array
+_kept: tuple = (None, None, None)
 
 
-def _box_rows(ks: np.ndarray) -> MappingProxyType:
-    """The one grouping of rows into octave boxes: for each distinct row s of
-    the octaves of the (n, d) frequency rows ``ks``, the increasing indices
-    of the rows in box s, keys in lex order (no keys for no rows).  The
-    mapping is read-only; its index arrays are not to be written, but stay
-    writeable because ``take`` copies an index array that is not.
+def _layout(ks: np.ndarray) -> tuple:
+    """The layout of the (n, d) frequency rows ``ks``, (split, folds): what
+    is derived from the rows alone.  ``split`` is ``_box_rows(ks)``.
+    ``folds`` maps each block or band piece (form, s) of ``besov_terms`` to
+    its fold store, slab shape -> ``_fold``, filled as its grids are
+    evaluated, so the pieces of every polynomial on these rows are folded
+    once per grid.
 
-    The one place that decides when a split is reused: it keeps one entry,
-    the last rows array it grouped and that array's split, and after a call
-    returns the entry holds ``ks`` and the split returned.  A call with the
-    very same array (compared by identity; rows are never written once
-    grouped) returns the kept split.  Sign, scaling and translation pass
-    ``ks`` on unchanged, so they share its split; pruning builds a new
-    array, which is grouped afresh."""
+    The one place that decides when a layout is reused: it keeps one entry,
+    the last rows array it was asked for and that array's layout, and after
+    a call returns the entry holds ``ks`` and the layout returned.  A call
+    with the very same array (compared by identity; rows are never written
+    once grouped) returns the kept layout.  Sign, scaling and translation
+    pass ``ks`` on unchanged, and ``random_in_spectrum`` hands every draw
+    from one ``SpectrumSet`` the same array, so they share its layout;
+    pruning builds a new array, which gets a new one."""
     global _kept
     kept = _kept
     if kept[0] is not ks:
@@ -160,8 +167,18 @@ def _box_rows(ks: np.ndarray) -> MappingProxyType:
             starts = np.flatnonzero(np.r_[True, new])
             keys = zip(*(col[starts].tolist() for col in cols))
             split = dict(zip(keys, np.split(order, starts[1:])))
-        kept = _kept = (ks, MappingProxyType(split))
-    return kept[1]
+        kept = _kept = (ks, MappingProxyType(split), {})
+    return kept[1:]
+
+
+def _box_rows(ks: np.ndarray) -> MappingProxyType:
+    """The one grouping of rows into octave boxes, kept in the layout of
+    ``ks`` (``_layout``): for each distinct row s of the octaves of the
+    (n, d) frequency rows ``ks``, the increasing indices of the rows in box
+    s, keys in lex order (no keys for no rows).  The mapping is read-only;
+    its index arrays are not to be written, but stay writeable because
+    ``take`` copies an index array that is not."""
+    return _layout(ks)[0]
 
 
 class TrigPolynomial:
@@ -180,9 +197,11 @@ class TrigPolynomial:
     reductions take a slow path.
 
     A polynomial holds its rows and coefficients and nothing derived from
-    them: each polynomial of a pool would hold n more int64.  The split of
-    its rows into octave boxes belongs to the rows array (``_box_rows``),
-    which sign, scaling and translation pass on unchanged.
+    them: each polynomial of a pool would hold n more int64.  What is
+    derived from the rows alone, their split into octave boxes and the
+    folds of their block and band pieces, belongs to the rows array, in its
+    layout (``_layout``).  Sign, scaling and translation pass the array on
+    unchanged, and every draw from one ``SpectrumSet`` holds the same one.
     """
 
     __slots__ = ("ks", "cs")
@@ -388,28 +407,34 @@ class TrigPolynomial:
 def _fold(ks, shape):
     """``ks`` folded onto the grid ``shape``, as (bins, lines): ``lines``, the
     flat indices over axes 1..d-1 of the lines along axis 0 that hold a
-    frequency (None in 1-D), and ``bins``, each term's real and imaginary
-    float64 slots in the compact complex (lines, G_0) array."""
+    frequency (None in 1-D), and ``bins``, each term's slot row * G_0 +
+    (k_0 mod G_0) in the compact (lines, G_0) array.  Both are int32, as a
+    grid holds at most ``MAX_GRID_POINTS`` < 2^31 points."""
     folded = [np.mod(ks[:, j], g) for j, g in enumerate(shape)]
     lines, row = None, 0
     if len(shape) > 1:
         suffix = np.ravel_multi_index(folded[1:], shape[1:])
         occupied = np.zeros(math.prod(shape[1:]), dtype=bool)
         occupied[suffix] = True
-        lines, row = np.flatnonzero(occupied), (np.cumsum(occupied) - 1)[suffix]
-    return (2 * (row * shape[0] + folded[0])[:, None] + (0, 1)).ravel(), lines
+        lines = np.flatnonzero(occupied).astype(np.int32)
+        row = (np.cumsum(occupied) - 1)[suffix]
+    return (row * shape[0] + folded[0]).astype(np.int32), lines
 
 
 def _transform(fold, cs, shape):
     """The values on ``shape`` of the terms ``cs`` folded as ``fold``.  One
-    bincount of their interleaved (real, imaginary) pairs is the compact
-    array, allocated after the output: freed above it, its memory goes to
-    the |f|^p temporaries of a norm, not back to the system."""
+    bincount of their interleaved (real, imaginary) pairs, at the float64
+    slots 2 bin and 2 bin + 1, is the compact array, allocated after the
+    output: freed above it, its memory goes to the |f|^p temporaries of a
+    norm, not back to the system."""
     bins, lines = fold
     side = shape[0]
     dense = None if lines is None else np.zeros(shape, dtype=np.complex128)
     n_lines = 1 if lines is None else lines.size
-    vals = np.bincount(bins, weights=cs.view(np.float64), minlength=2 * n_lines * side)
+    slots = np.empty((bins.size, 2), dtype=np.intp)
+    np.multiply(bins, 2, out=slots[:, 0])
+    np.add(slots[:, 0], 1, out=slots[:, 1])
+    vals = np.bincount(slots.ravel(), weights=cs.view(np.float64), minlength=2 * n_lines * side)
     vals = vals.view(np.complex128).reshape(n_lines, side)
     np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
     if lines is None:
@@ -430,8 +455,12 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
     uniform phase.  ``seed`` feeds a dedicated generator, so results are
     reproducible and independent of call order; a number must be an integer
     >= 0, and a generator or seed sequence passes as it is.
+
+    Every draw from one ``SpectrumSet`` holds the set's one read-only rows
+    array (``SpectrumSet._rows``), and so shares its layout (``_layout``);
+    rows given as an array are copied into each draw.
     """
-    ks = spectrum.materialize() if isinstance(spectrum, SpectrumSet) else spectrum
+    ks = spectrum._rows if isinstance(spectrum, SpectrumSet) else spectrum
     if np.ndim(ks) == 0:
         raise ParameterError(f"spectrum must be a SpectrumSet or frequency rows, got {ks!r}")
     if isinstance(seed, numbers.Number):
@@ -441,7 +470,7 @@ def random_in_spectrum(spectrum, seed=0, law: str = "gaussian") -> TrigPolynomia
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"unusable seed {seed!r}: {exc}") from exc
     cs = _draw(rng, len(ks), law)  # rows, or the frequencies of a flat 1-D spectrum
-    # materialize's rows are fresh and strictly lex-increasing: trusted
+    # a set's rows are strictly lex-increasing and never written: trusted
     return (TrigPolynomial._canonical if ks is not spectrum else TrigPolynomial)(ks, cs)
 
 
@@ -529,7 +558,7 @@ def _exact_grid(spread, p):
     return None
 
 
-def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
+def _grid_slabs(f: TrigPolynomial, grid, coarse=None, folds=None):
     """The values of f on ``grid`` (sides powers of two) as (values, on) per
     slab, ``values[on]`` being the slab's points on ``coarse``, a grid that
     ``grid`` doubles on some axes (``on`` is None without ``coarse`` or when
@@ -540,7 +569,8 @@ def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
     G_a slabs along its longest axis a, the first of equals.  Slab r, the
     indices r mod S on axis a, is f e^{2 pi i r k_a / G_a} on G_a / S
     points (Cooley and Tukey's decimation in time), the phase reduced
-    exactly per term; every slab shares one folding (``_fold``), and S = 1
+    exactly per term; every slab shares one folding (``_fold``), taken from
+    and kept in ``folds`` (slab shape -> fold) when it is given, and S = 1
     up to ``SLAB_POINTS`` points."""
     steps = [g // c for g, c in zip(grid, coarse or grid)]
     s = pow2ceil(-(-math.prod(grid) // SLAB_POINTS))
@@ -548,19 +578,22 @@ def _grid_slabs(f: TrigPolynomial, grid, coarse=None):
     s = min(grid[a], s)
     on = tuple(slice(None, None, max(1, k // s) if j == a else k) for j, k in enumerate(steps))
     shape = grid[:a] + (grid[a] // s,) + grid[a + 1:]
-    fold, ka = _fold(f.ks, shape), np.mod(f.ks[:, a], grid[a])
+    folds = {} if folds is None else folds
+    fold = folds.get(shape) or folds.setdefault(shape, _fold(f.ks, shape))
+    ka = np.mod(f.ks[:, a], grid[a]) if s > 1 else None
     for r in range(s):
         cs = f.cs if r == 0 else f.cs * np.exp(2j * np.pi / grid[a] * (r * ka % grid[a]))
         yield _transform(fold, cs, shape), None if coarse is None or r % steps[a] else on
 
 
-def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0):
+def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0, folds=None):
     """For each p of ``ps``, the L_p mean of f on ``grid`` (the largest |f|
     for p = inf), added up one slab at a time; and for the first
     ``n_coarse`` of them the same on the points of ``coarse`` (see
-    ``_grid_slabs``), read off the same |f|^p, or None without it."""
+    ``_grid_slabs``, which takes ``folds``), read off the same |f|^p, or
+    None without it."""
     sums, subs = [0.0] * len(ps), [0.0] * n_coarse
-    for vals, on in _grid_slabs(f, grid, coarse):
+    for vals, on in _grid_slabs(f, grid, coarse, folds):
         for i, p in enumerate(ps):
             add = max if p == math.inf else operator.add
             total, sub = _power_sum(vals, p, on if i < n_coarse else None)
@@ -576,7 +609,7 @@ def _grid_norms(f: TrigPolynomial, grid, ps, coarse=None, n_coarse=0):
     return norms(sums, grid), coarse and norms(subs, coarse)
 
 
-def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact) -> dict:
+def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact, folds) -> dict:
     """The norms {p: value} from one ladder: ``start`` doubles within the
     caps until each p of ``ps`` agrees to ``rel_tol`` with its own value on
     the points of the grid before (the coarse points of ``_grid_slabs``), so
@@ -590,7 +623,7 @@ def _refine(f: TrigPolynomial, start, ps, quad: QuadratureSpec, exact) -> dict:
     coarse, live, norms = start if doubled else None, list(ps), {}
     while live:
         served = exact.pop(grid, [])
-        new, old = _grid_norms(f, grid, live + served, coarse, len(live))
+        new, old = _grid_norms(f, grid, live + served, coarse, len(live), folds)
         norms.update(zip(live + served, new))
         if old is None:
             break
@@ -634,7 +667,7 @@ def lp_norm(f: TrigPolynomial, p: float, quad: QuadratureSpec | None = None) -> 
     return lp_norms(f, (p,), quad)[0]
 
 
-def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple:
+def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None, folds=None) -> tuple:
     """``tuple(lp_norm(f, p, quad) for p in ps)``, bit for bit, with each
     grid evaluated once for all the p that need it.
 
@@ -645,7 +678,9 @@ def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple
     ladder.  An even p whose exact grid is a grid of either ladder is
     reduced there, once; the other exact grids are evaluated on their own.
     One grid is held at a time.  The first p of ``ps`` that does not
-    converge raises QuadratureAccuracyError.
+    converge raises QuadratureAccuracyError.  ``folds``, a fold store of
+    f's rows from their layout (see ``_layout`` and ``besov_terms``), lends
+    and keeps the folding of each grid; without it each grid folds afresh.
     """
     quad = quad or QuadratureSpec()
     ps = check_exponents(ps, "p")
@@ -656,11 +691,11 @@ def lp_norms(f: TrigPolynomial, ps, quad: QuadratureSpec | None = None) -> tuple
         norms[2] = float(np.sqrt(np.sum(f.cs.real ** 2 + f.cs.imag ** 2)))
     sampled = [p for p in dict.fromkeys(ps) if p != 2]
     if sampled:
-        norms.update(_sampled_norms(f, sampled, quad))
+        norms.update(_sampled_norms(f, sampled, quad, folds))
     return tuple(norms[p] for p in ps)
 
 
-def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
+def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec, folds) -> dict:
     """The norms of f at the distinct exponents ``ps`` (none of them 2), as
     a dict p -> norm: the sup ladder runs first, then the mean ladder, then
     the exact grids that neither ladder evaluated."""
@@ -676,9 +711,9 @@ def _sampled_norms(f: TrigPolynomial, ps, quad: QuadratureSpec) -> dict:
             mean.append(p)
     for own, m in ((sup, 4), (mean, 1)):
         if own:
-            norms.update(_refine(f, _start_grid(spread, m), own, quad, exact))
+            norms.update(_refine(f, _start_grid(spread, m), own, quad, exact, folds))
     for grid, served in exact.items():
-        norms.update(zip(served, _grid_norms(f, grid, served)[0]))
+        norms.update(zip(served, _grid_norms(f, grid, served, folds=folds)[0]))
     return norms
 
 

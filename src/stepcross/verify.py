@@ -92,11 +92,11 @@ def _octave_range(lo: int, hi: int):
 def _sample_polys(quick: bool):
     """Seeded test polynomials: 1-d octave blocks and 2-d cross spectra."""
     count = 3 if quick else 50
-    polys = []
+    polys, cross = [], q_set(PLAIN_2D, 64.0)
     for i in range(count):
         law = "gaussian" if i % 2 == 0 else "unit_complex"
         polys.append(random_in_spectrum(rho((3 + i % 4,)), seed=100 + i, law=law))
-        polys.append(random_in_spectrum(q_set(PLAIN_2D, 64.0), seed=200 + i, law=law))
+        polys.append(random_in_spectrum(cross, seed=200 + i, law=law))
     return polys
 
 

@@ -79,7 +79,7 @@ def test_weights_are_bit_identical(omega, monkeypatch):
 
     # one frequency per box; each piece's "norm" is omega_dyadic of its box,
     # so every term is 1.0 exactly when the weights agree
-    monkeypatch.setattr(besov, "lp_norms", lambda piece, ps, quad=None:
+    monkeypatch.setattr(besov, "lp_norms", lambda piece, ps, quad=None, folds=None:
                         [want[tuple(piece.octaves()[0].tolist())]] * len(ps))
     f = TrigPolynomial(np.left_shift(1, boxes - 1), np.ones(len(boxes)))
     indices, (terms,) = besov_terms(f, omega, (2.0,), "blocks")

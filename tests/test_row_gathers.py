@@ -112,7 +112,7 @@ def test_gathers_match_fancy_indexing(rows, data):
         keep = cs_s != 0
         if keep.any():
             want[s] = (ks_s[keep], cs_s[keep])
-    got = dict(_band_pieces(f))
+    got = {s: piece for s, piece, _ in _band_pieces(f)}
     assert list(got) == list(want)
     for s, piece in got.items():
         assert_same(piece.ks, piece.cs, *want[s])
@@ -137,10 +137,12 @@ def test_band_profile_matches_the_vp_difference(sj, ks):
 
 def test_band_pieces_prune_rows_the_multiplier_zeroes():
     # k = 2 lies in octave 2, which band 2 touches, but the band-2 profile
-    # vanishes at |k| = 2^{s-1}: the piece holds 3 and 4 only
+    # vanishes at |k| = 2^{s-1}: the piece holds 3 and 4 only, and still
+    # every row the multiplier keeps
     f = TrigPolynomial([[2], [3], [4]], [1.0, 1.0, 1.0])
-    pieces = dict(_band_pieces(f))
-    assert pieces[(2,)].ks.ravel().tolist() == [3, 4]
+    pieces = {s: (piece, full) for s, piece, full in _band_pieces(f)}
+    assert pieces[(2,)][0].ks.ravel().tolist() == [3, 4]
+    assert all(full for _, full in pieces.values())
     assert band_multiplier((2, 1), [[EDGE, 1]]).tolist() == [0.0]
 
 

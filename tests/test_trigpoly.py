@@ -414,7 +414,7 @@ def record_grids(mp, shapes, then=trigpoly._grid_slabs):
     the grid layer, so a grid split into slabs is recorded once, whole; then
     call ``then``."""
     mp.setattr(trigpoly, "_grid_slabs",
-               lambda f, grid, coarse=None: shapes.append(tuple(grid)) or then(f, grid, coarse))
+               lambda f, grid, *rest: shapes.append(tuple(grid)) or then(f, grid, *rest))
 
 
 @pytest.fixture
