@@ -205,7 +205,9 @@ class TestEngine:
             piece = TrigPolynomial(f.ks, f.cs * band_multiplier(s, f.ks))
             if not piece.is_zero:
                 want[s] = piece
-        got = {s: piece for s, piece, full in _band_pieces(f) if full}
+        pieces = list(_band_pieces(f))
+        assert all(full for *_, full in pieces)  # no coefficient underflows here
+        got = {s: piece for s, piece, _ in pieces}
         assert list(got) == sorted(want)
         for s, piece in got.items():
             same_bits(piece, want[s])
